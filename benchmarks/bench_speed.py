@@ -9,19 +9,19 @@ uploads it from every run):
   (``interp``) and the fused-superblock code generator (``compiled``,
   the default); a deliberately loose timing assertion guards the hot loop
   against catastrophic regression;
-* **campaign** — one Monte-Carlo fault campaign measured five ways so each
+* **campaign** — one Monte-Carlo fault campaign measured four ways so each
   speedup layer is attributed separately (each layer timed as the median
   of three runs, so sub-second campaigns don't flap the trend gate):
 
   1. ``interp`` backend, snapshots off — the PR-2 baseline configuration,
-  2. ``compiled`` backend, snapshots off — layer 1 alone,
-  3. ``compiled`` + golden-run snapshots, serial scalar loop — layers 1+2,
-  4. the same with the batched trial engine (``--batch``: snapshot-bucketed
-     groups, shared golden-prefix advance, trace-guided suffixes — the
-     default configuration on the compiled backend),
-  5. layer 3 sharded over ``--jobs`` workers.
+  2. ``compiled`` backend, snapshots off — layer 1 alone (fused blocks and
+     trace-guided post-fault suffixes),
+  3. ``compiled`` + golden-run snapshots, serial — the default campaign
+     path: every trial resumes from a snapshot and exits early once it
+     re-converges with the golden run (layers 1+2),
+  4. layer 3 sharded over ``--jobs`` workers.
 
-  All five must produce bit-identical outcome counts, fault totals and
+  All four must produce bit-identical outcome counts, fault totals and
   detection latencies (the determinism contract, asserted);
 * **sweep** — a multi-point (workload, scheme, issue-width, delay) grid
   through :meth:`Evaluator.sweep`, serial vs parallel, each from a cold
@@ -144,16 +144,13 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
     full_inj = injector("compiled", snapshots=True)
 
     baseline, baseline_s = _median3(
-        lambda: baseline_inj.run_campaign(trials, seed, jobs=1, batch=False)
+        lambda: baseline_inj.run_campaign(trials, seed, jobs=1)
     )
     compiled, compiled_s = _median3(
-        lambda: compiled_inj.run_campaign(trials, seed, jobs=1, batch=False)
+        lambda: compiled_inj.run_campaign(trials, seed, jobs=1)
     )
     serial, serial_s = _median3(
-        lambda: full_inj.run_campaign(trials, seed, jobs=1, batch=False)
-    )
-    batched, batched_s = _median3(
-        lambda: full_inj.run_campaign(trials, seed, jobs=1, batch=True)
+        lambda: full_inj.run_campaign(trials, seed, jobs=1)
     )
     parallel, parallel_s = _median3(
         lambda: full_inj.run_campaign(trials, seed, jobs=jobs)
@@ -170,7 +167,6 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
     for name, res in (
         ("compiled backend", compiled),
         ("compiled+snapshots", serial),
-        ("compiled+snapshots batched", batched),
         (f"compiled+snapshots jobs={jobs}", parallel),
     ):
         assert signature(res) == signature(baseline), (
@@ -181,8 +177,6 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
     speedup_compiled = baseline_s / compiled_s if compiled_s > 0 else 0.0
     speedup_checkpoint = compiled_s / serial_s if serial_s > 0 else 0.0
     speedup_vs_baseline = baseline_s / serial_s if serial_s > 0 else 0.0
-    speedup_batch = serial_s / batched_s if batched_s > 0 else 0.0
-    speedup_batch_vs_baseline = baseline_s / batched_s if batched_s > 0 else 0.0
     speedup_pool = serial_s / parallel_s if parallel_s > 0 else 0.0
     print(
         f"campaign: {trials} trials (median of 3 per layer)\n"
@@ -193,9 +187,6 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
         f"  compiled + snapshots       {serial_s:6.2f}s "
         f"({trials / serial_s:7.1f}/s)  {speedup_checkpoint:.2f}x more, "
         f"{speedup_vs_baseline:.2f}x total\n"
-        f"  + batched trials           {batched_s:6.2f}s "
-        f"({trials / batched_s:7.1f}/s)  {speedup_batch:.2f}x more, "
-        f"{speedup_batch_vs_baseline:.2f}x total\n"
         f"  + jobs={jobs}                  {parallel_s:6.2f}s "
         f"({trials / parallel_s:7.1f}/s)  {speedup_pool:.2f}x over serial"
     )
@@ -204,16 +195,14 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
     # campaigns now run — one persistent WorkerPool reused across reps, at
     # a trial count large enough (>= 4 full task waves per worker) that the
     # adaptive shard grouping has something to amortize.  Comparing against
-    # the serial *batched* engine at the same scale isolates what the pool
+    # the serial default path at the same scale isolates what the pool
     # itself buys; ``pool_efficiency`` normalizes by the worker count the
     # scheduler can actually run side by side.
     pool_report: dict = {}
     if jobs >= 2:
         scale_trials = max(trials, jobs * 4 * SHARD_TRIALS)
         scale_serial, scale_serial_s = _median3(
-            lambda: full_inj.run_campaign(
-                scale_trials, seed, jobs=1, batch=True
-            )
+            lambda: full_inj.run_campaign(scale_trials, seed, jobs=1)
         )
         with WorkerPool(jobs) as pool:
             warm = full_inj.run_campaign(scale_trials, seed, jobs=jobs)
@@ -225,7 +214,7 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
             scale_serial
         ), (
             "determinism contract violated: pool-warm campaign differs from "
-            "the serial batched campaign at the same scale"
+            "the serial campaign at the same scale"
         )
         assert spawns == 1, (
             f"persistent pool regressed: {spawns} worker-pool spawns across "
@@ -262,16 +251,12 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
         "interp_serial_s": round(baseline_s, 3),
         "compiled_serial_s": round(compiled_s, 3),
         "serial_s": round(serial_s, 3),
-        "batched_serial_s": round(batched_s, 3),
         "parallel_s": round(parallel_s, 3),
         "trials_per_s_serial": round(trials / serial_s, 1),
-        "trials_per_s_serial_batched": round(trials / batched_s, 1),
         "trials_per_s_parallel": round(trials / parallel_s, 1),
         "speedup_compiled": round(speedup_compiled, 2),
         "speedup_checkpoint": round(speedup_checkpoint, 2),
         "speedup_vs_baseline": round(speedup_vs_baseline, 2),
-        "speedup_batch": round(speedup_batch, 2),
-        "speedup_batch_vs_baseline": round(speedup_batch_vs_baseline, 2),
         "speedup": round(speedup_pool, 2),
         "deterministic": True,
         **pool_report,
@@ -342,14 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         "replay baseline",
     )
     parser.add_argument(
-        "--assert-batch-speedup", type=float, default=None, metavar="X",
-        help="fail unless the batched engine is at least X times faster "
-        "than the interp/replay baseline (serial, same campaign)",
-    )
-    parser.add_argument(
         "--assert-pool-efficiency", type=float, default=None, metavar="F",
         help="fail unless the pool-warm campaign reaches at least F x "
-        "min(jobs, cores) speedup over the serial batched engine; only "
+        "min(jobs, cores) speedup over the serial campaign; only "
         "enforced when the parallel timings are meaningful (>= 4 effective "
         "cores, >= 4 jobs, no oversubscription) — skipped with a note "
         "otherwise",
@@ -414,18 +394,6 @@ def main(argv: list[str] | None = None) -> int:
             f"the interp/replay baseline (required >= {args.assert_speedup}x)"
         )
         print(f"speedup gate passed: {got}x >= {args.assert_speedup}x")
-
-    if args.assert_batch_speedup is not None:
-        got = report["campaign"]["speedup_batch_vs_baseline"]
-        assert got >= args.assert_batch_speedup, (
-            f"batched speedup regressed: batched campaigns are only {got}x "
-            f"the interp/replay baseline "
-            f"(required >= {args.assert_batch_speedup}x)"
-        )
-        print(
-            f"batched speedup gate passed: {got}x >= "
-            f"{args.assert_batch_speedup}x"
-        )
 
     if args.assert_pool_efficiency is not None:
         if parallel_meaningful and cores >= 4 and jobs >= 4:

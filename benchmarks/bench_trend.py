@@ -12,18 +12,21 @@ the ``--quick`` flag — and absolute throughput checks (trials/s,
 executor insn/s) compare the candidate only against entries from the same
 cohort.  Ratio checks are hardware-independent and always apply:
 
-* ``speedup_vs_baseline`` (compiled + snapshots over the interp/replay
-  baseline) must stay >= ``MIN_BASELINE_SPEEDUP``;
-* ``speedup_batch_vs_baseline`` (the batched trial engine over the same
-  baseline) must stay >= ``MIN_BATCH_SPEEDUP``;
+* ``speedup_vs_baseline`` (the default campaign path — compiled +
+  snapshots — over the interp/replay baseline) must stay >=
+  ``MIN_BASELINE_SPEEDUP``;
 * the pool speedup floor applies only when the report says the parallel
   measurement was meaningful (``parallel_meaningful``: enough effective
   cores for the worker count — see bench_speed.py) on a >= 4-core box;
 * under the same conditions, the pool-warm cohort's parallel efficiency
-  (``pool_efficiency``: speedup over the serial batched engine normalized
-  by min(jobs, cores)) must stay >= ``MIN_POOL_EFFICIENCY``;
+  (``pool_efficiency``: speedup over the serial campaign normalized by
+  min(jobs, cores)) must stay >= ``MIN_POOL_EFFICIENCY``;
 * within the cohort, serial campaign trials/s and executor insn/s must not
   drop more than ``MAX_DROP_FRAC`` below the cohort median.
+
+History rows written while campaigns had a separate batched engine carry
+``*_batched`` fields; for those rows the batched serial throughput is the
+default path's, so it is what the serial trials/s check compares against.
 
 Usage::
 
@@ -52,17 +55,15 @@ from repro.parallel import effective_cores  # noqa: E402
 DEFAULT_HISTORY = Path(__file__).resolve().parent / "BENCH_history.jsonl"
 DEFAULT_REPORT = REPO_ROOT / "BENCH_speed.json"
 
-#: Compiled+snapshots must stay at least this many times faster than the
-#: interp/replay-from-zero baseline (hardware-independent ratio).
+#: The default campaign path (compiled + snapshots) must stay at least this
+#: many times faster than the interp/replay-from-zero baseline
+#: (hardware-independent ratio).
 MIN_BASELINE_SPEEDUP = 3.0
-#: The batched engine must likewise hold this floor over the interp/replay
-#: baseline (hardware-independent ratio; absent in pre-batching reports).
-MIN_BATCH_SPEEDUP = 3.0
 #: Pool speedup floor, applied only to meaningful parallel measurements on
 #: a >= 4-core machine.
 MIN_POOL_SPEEDUP = 1.5
 #: Parallel-efficiency floor for the pool-warm cohort (speedup over the
-#: serial batched engine, normalized by min(jobs, cores)); applied under
+#: serial campaign, normalized by min(jobs, cores)); applied under
 #: the same meaningful-parallel conditions as the pool speedup floor.
 MIN_POOL_EFFICIENCY = 0.7
 #: Maximum tolerated drop of an absolute throughput below its same-cohort
@@ -94,11 +95,8 @@ def entry_from_report(report: dict) -> dict:
         "insn_per_s": executor.get("insn_per_s"),
         "trials": campaign.get("trials"),
         "trials_per_s_serial": campaign.get("trials_per_s_serial"),
-        "trials_per_s_serial_batched": campaign.get("trials_per_s_serial_batched"),
         "trials_per_s_parallel": campaign.get("trials_per_s_parallel"),
         "speedup_vs_baseline": campaign.get("speedup_vs_baseline"),
-        "speedup_batch": campaign.get("speedup_batch"),
-        "speedup_batch_vs_baseline": campaign.get("speedup_batch_vs_baseline"),
         "speedup_pool": campaign.get("speedup"),
         # Pool-warm cohort (absent in pre-pool reports and jobs<2 runs).
         "speedup_warm": campaign.get("speedup_warm"),
@@ -125,6 +123,15 @@ def load_history(path: Path) -> list[dict]:
     return entries
 
 
+def _history_value(entry: dict, key: str) -> object:
+    """``entry[key]``, reading a batched-era row's default-path throughput."""
+    if key == "trials_per_s_serial":
+        batched = entry.get("trials_per_s_serial_batched")
+        if isinstance(batched, (int, float)):
+            return batched
+    return entry.get(key)
+
+
 def check(candidate: dict, history: list[dict]) -> list[str]:
     """All regression findings for ``candidate`` against ``history``."""
     failures: list[str] = []
@@ -135,13 +142,6 @@ def check(candidate: dict, history: list[dict]) -> list[str]:
         failures.append(
             f"speedup_vs_baseline {svb}x is below the {MIN_BASELINE_SPEEDUP}x "
             "floor (compiled+snapshots vs interp/replay baseline)"
-        )
-    sbb = candidate.get("speedup_batch_vs_baseline")
-    if sbb is not None and sbb < MIN_BATCH_SPEEDUP:
-        failures.append(
-            f"speedup_batch_vs_baseline {sbb}x is below the "
-            f"{MIN_BATCH_SPEEDUP}x floor (batched engine vs interp/replay "
-            "baseline)"
         )
     pool = candidate.get("speedup_pool")
     if (
@@ -167,7 +167,7 @@ def check(candidate: dict, history: list[dict]) -> list[str]:
         failures.append(
             f"parallel efficiency {eff:.0%} is below the "
             f"{MIN_POOL_EFFICIENCY:.0%} floor (pool-warm campaign vs serial "
-            f"batched engine on a {candidate['effective_cores']}-core "
+            f"campaign on a {candidate['effective_cores']}-core "
             f"machine, jobs={candidate['jobs']})"
         )
 
@@ -188,11 +188,13 @@ def check(candidate: dict, history: list[dict]) -> list[str]:
         return failures
     for key, label in (
         ("trials_per_s_serial", "serial campaign trials/s"),
-        ("trials_per_s_serial_batched", "batched campaign trials/s"),
         ("insn_per_s", "executor insn/s"),
     ):
         got = candidate.get(key)
-        refs = [e[key] for e in cohort if isinstance(e.get(key), (int, float))]
+        refs = [
+            v for v in (_history_value(e, key) for e in cohort)
+            if isinstance(v, (int, float))
+        ]
         if got is None or not refs:
             continue
         ref = median(refs)
@@ -237,8 +239,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{e.get('recorded_at', '?'):20s}  {e.get('git_rev', '?'):8s}  "
                 f"{cohort_tag(e):20s}  quick={str(bool(e.get('quick'))).lower():5s}  "
-                f"serial {e.get('trials_per_s_serial', '?')}/s  "
-                f"batched {e.get('trials_per_s_serial_batched', '?')}/s  "
+                f"serial {_history_value(e, 'trials_per_s_serial') or '?'}/s  "
                 f"pool {e.get('speedup_pool', '?')}x  "
                 f"warm-eff {e.get('pool_efficiency', '?')}  "
                 f"vs-baseline {e.get('speedup_vs_baseline', '?')}x"

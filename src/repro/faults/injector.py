@@ -22,7 +22,12 @@ Methodology (paper §IV-C):
 Trials execute on the sequential reference interpreter: outcome
 classification depends only on architectural state, and the interpreter
 sustains millions of instructions per second, which makes 300-trial
-campaigns cheap.
+campaigns cheap.  Every trial — in a campaign shard or a lone
+:meth:`FaultInjector.run_trial` — takes the same path: resume from the
+nearest golden snapshot at or before its earliest fault, then (on the
+compiled backend) run the post-fault suffix trace-guided and exit early
+once the state re-converges with the golden run.  The interp backend runs
+the plain loop and stays the differential oracle.
 
 Campaigns are *sharded*: the trial budget is split into fixed
 :data:`~repro.parallel.SHARD_TRIALS`-sized shards and every shard draws
@@ -48,7 +53,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import statistics
 import time
 from bisect import bisect_right
@@ -75,6 +79,7 @@ from repro.ir.interp import (
     Interpreter,
     RunResult,
     Snapshot,
+    TraceGuide,
 )
 from repro.ir.printer import canonical_program_text
 from repro.ir.program import Program
@@ -91,14 +96,15 @@ from repro.parallel import (
     resolve_jobs,
     worker_cached,
 )
-from repro.sim.batch import BatchRunner, GroupStats, TrialPlan
-from repro.sim.shared import SharedSnapshots
 from repro.utils.rng import make_rng
 
 logger = logging.getLogger(__name__)
 
 #: Per-trial completion callback: ``(outcome, n_faults, detection_latency)``.
 OnTrial = Callable[[Outcome, int, int | None], None]
+
+#: The golden-comparison exits a trial runs with: ``(converge, guide)``.
+_Accelerators = tuple[ConvergenceIndex | None, TraceGuide | None]
 
 #: Watchdog budget = factor x golden dynamic instruction count.
 WATCHDOG_FACTOR = 25
@@ -116,10 +122,10 @@ SNAPSHOT_COUNT = 64
 SNAPSHOT_MIN_DYN = 2_000
 
 #: Minimum seconds of estimated work per pool task: shards are grouped into
-#: tasks until each task carries at least this much, so cheap (batched)
-#: shards stop paying one IPC round trip each.  The *shard* stays the RNG
-#: and checkpoint unit — grouping never changes which stream a trial draws
-#: from (see docs/performance.md, "Adaptive task sizing").
+#: tasks until each task carries at least this much, so cheap shards stop
+#: paying one IPC round trip each.  The *shard* stays the RNG and
+#: checkpoint unit — grouping never changes which stream a trial draws from
+#: (see docs/performance.md, "Adaptive task sizing").
 MIN_TASK_SECONDS = 0.25
 
 #: Default extra attempts for a shard whose pool worker died.
@@ -261,14 +267,14 @@ class WorkerProfile:
     Everything :class:`FaultInjector` computes by *executing* the program —
     the golden run, its wall cost, and the architectural snapshots — so a
     worker-side rebuild only re-decodes the program (the compiled closures
-    don't pickle) and skips both golden replays.  Snapshots travel as a
-    :class:`~repro.sim.shared.SharedSnapshots` shared-memory handle, never
-    as pickled register/memory arrays.
+    don't pickle) and skips both golden replays.  The snapshots are plain
+    tuples pickled once per injector inside the worker spec's payload
+    (a few hundred KB for our workloads).
     """
 
     golden: RunResult
     golden_run_seconds: float
-    snapshots: SharedSnapshots | None
+    snapshots: tuple[Snapshot, ...]
 
 
 class CampaignWorkerSpec:
@@ -339,8 +345,8 @@ class FaultInjector:
         tel = get_telemetry()
         if profile is not None:
             # Worker-side rebuild from a shipped profile: decode the program
-            # but adopt the parent's golden run and attach its snapshots
-            # from shared memory instead of re-executing anything.
+            # but adopt the parent's golden run and snapshots instead of
+            # re-executing anything.
             with tel.span("worker:attach-profile", cat="worker") as sp:
                 self.interp = Interpreter(
                     program, mem_words=mem_words, frame_words=frame_words,
@@ -350,11 +356,7 @@ class FaultInjector:
                 self.golden_run_seconds = profile.golden_run_seconds
                 if not self.golden.block_trace:
                     raise SimError("shipped golden profile carries no trace")
-                self._snapshots: list[Snapshot] = (
-                    list(profile.snapshots.load())
-                    if profile.snapshots is not None
-                    else []
-                )
+                self._snapshots: list[Snapshot] = list(profile.snapshots)
                 self._snap_keys: list[int] = [s.dyn for s in self._snapshots]
                 sp.set(
                     golden_dyn=self.golden.dyn_instructions,
@@ -438,66 +440,50 @@ class FaultInjector:
         self.fault_model = fault_model
         self.model = get_fault_model(fault_model)
         self.model.prepare(self)
-        self._batch_runner: BatchRunner | None = None
-        self._converge_index: ConvergenceIndex | None = None
+        self._accel: _Accelerators | None = None
         self._worker_spec: CampaignWorkerSpec | None = None
-        #: Parent-side keepalive for exported shared-memory snapshots —
-        #: workers attach by name, and the segment is unlinked when this
-        #: handle (i.e. the injector) is collected.
-        self._shared_snapshots: SharedSnapshots | None = (
-            profile.snapshots if profile is not None else None
-        )
 
-    # -- batched execution -------------------------------------------------------
-    def resolve_batch(self, batch: bool | None = None) -> bool:
-        """Resolve a ``batch`` choice: explicit arg > ``REPRO_BATCH`` > default.
+    # -- golden-comparison exits -------------------------------------------------
+    def _accelerators(self) -> _Accelerators:
+        """The ``(converge, guide)`` pair every trial hands to ``interp.run``.
 
-        The default is on for the compiled backend (batching is its
-        amortization layer) and off for interp, which stays the scalar
-        differential oracle.  Results are bit-identical either way.
+        Built once per injector, on first use.  On the compiled backend the
+        :class:`~repro.ir.interp.ConvergenceIndex` (when there are
+        snapshots) ends a trial as soon as its state re-joins the golden
+        run at a snapshot boundary, and the
+        :class:`~repro.ir.interp.TraceGuide` runs post-fault suffixes along
+        the recorded golden block trace.  Both are exact: they change how
+        fast a trial finishes, never its :class:`RunResult`.  On the interp
+        backend both are ``None`` so the differential oracle stays the
+        plain loop.
         """
-        if batch is None:
-            env = os.environ.get("REPRO_BATCH", "").strip().lower()
-            if env:
-                batch = env not in ("0", "false", "no", "off")
-            else:
-                batch = self.interp.backend == "compiled"
-        return bool(batch)
-
-    def batch_runner(self) -> BatchRunner:
-        """The (lazily built) batched group runner over this golden run.
-
-        The injector owns the :class:`ConvergenceIndex` (per-snapshot state
-        hashes) and hands the same handle to every runner it builds, so a
-        runner rebuild never re-hashes the snapshots.
-        """
-        if self._batch_runner is None:
-            if self._converge_index is None and self._snapshots:
-                self._converge_index = ConvergenceIndex(
-                    self._snapshots, self.golden
+        if self._accel is None:
+            compiled = self.interp.backend == "compiled"
+            self._accel = (
+                ConvergenceIndex(self._snapshots, self.golden)
+                if compiled and self._snapshots
+                else None,
+                TraceGuide(
+                    self.interp, self.golden, self._visit_dyn_start,
+                    self._snap_keys,
                 )
-            self._batch_runner = BatchRunner(
-                self.interp,
-                self.golden,
-                self._snapshots,
-                self._visit_dyn_start,
-                self.max_steps,
-                converge=self._converge_index,
+                if compiled
+                else None,
             )
-        return self._batch_runner
+        return self._accel
 
-    def estimated_shard_seconds(self, batch: bool) -> float:
+    def estimated_shard_seconds(self) -> float:
         """Calibrated wall-cost estimate of one full campaign shard.
 
-        Derived from the measured golden-run cost: a scalar trial resumes
-        from the nearest snapshot and executes on average about half the
-        program (the whole program without snapshots); a batched trial
-        amortizes the prefix and usually early-exits at the next snapshot
-        boundary, costing a small fraction of a golden run.  Only used to
-        size pool tasks — never affects results.
+        Derived from the measured golden-run cost: a trial resumes from the
+        nearest snapshot and, on the compiled backend, usually early-exits
+        at the next snapshot boundary, costing a small fraction of a golden
+        run; on interp it executes on average about half the program (the
+        whole program without snapshots).  Only used to size pool tasks —
+        never affects results.
         """
         golden = max(self.golden_run_seconds, 1e-6)
-        if batch and self._snapshots:
+        if self._snapshots and self.interp.backend == "compiled":
             per_trial = golden * 0.05
         elif self._snapshots:
             per_trial = golden * 0.6
@@ -508,12 +494,11 @@ class FaultInjector:
     def worker_spec(self) -> CampaignWorkerSpec:
         """The content-addressed build recipe pool workers cache this injector by.
 
-        Memoized: the snapshots are exported to shared memory and the
-        constructor payload pickled exactly once per injector, no matter
-        how many campaigns, dispatch waves, or retry rounds ship it.  The
-        key hashes the *resolved* backend (not the ``None`` the caller may
-        have passed) so a worker rebuild can never resolve differently
-        from the parent.
+        Memoized: the constructor payload — snapshots included — is pickled
+        exactly once per injector, no matter how many campaigns, dispatch
+        waves, or retry rounds ship it.  The key hashes the *resolved*
+        backend (not the ``None`` the caller may have passed) so a worker
+        rebuild can never resolve differently from the parent.
         """
         if self._worker_spec is None:
             (
@@ -528,16 +513,10 @@ class FaultInjector:
                     snapshots, snapshot_count, len(self._snapshots),
                 )).encode()
             )
-            shared = (
-                SharedSnapshots.export(self._snapshots)
-                if self._snapshots
-                else None
-            )
-            self._shared_snapshots = shared
             profile = WorkerProfile(
                 golden=self.golden,
                 golden_run_seconds=self.golden_run_seconds,
-                snapshots=shared,
+                snapshots=tuple(self._snapshots),
             )
             ctor_args = (
                 program, mem_words, frame_words, fault_model,
@@ -627,13 +606,23 @@ class FaultInjector:
         i = bisect_right(self._snap_keys, first) - 1
         return self._snapshots[i] if i >= 0 else None
 
-    def run_trial(self, faults: tuple[FaultSpec, ...]) -> Outcome:
-        result = self.interp.run(
+    def _execute(
+        self, faults: tuple[FaultSpec, ...], snap: Snapshot | None
+    ) -> RunResult:
+        """Run one trial: the single executor behind every campaign path."""
+        converge, guide = self._accelerators()
+        return self.interp.run(
             faults=faults,
             max_steps=self.max_steps,
-            resume_from=self._snapshot_for(faults) if faults else None,
+            resume_from=snap,
+            converge=converge,
+            guide=guide,
         )
-        return classify(self.golden, result)
+
+    def run_trial(self, faults: tuple[FaultSpec, ...]) -> Outcome:
+        """Classify one trial, executed exactly as a campaign shard would."""
+        snap = self._snapshot_for(faults) if faults else None
+        return classify(self.golden, self._execute(faults, snap))
 
     def run_shard(
         self,
@@ -642,7 +631,6 @@ class FaultInjector:
         seed: int,
         reference_dyn: int | None = None,
         on_trial: OnTrial | None = None,
-        batch: bool | None = None,
     ) -> ShardResult:
         """Run one campaign shard.
 
@@ -653,20 +641,12 @@ class FaultInjector:
         latency)`` fires after every trial (serial mode uses it for
         per-trial telemetry and progress heartbeats; ``latency`` is ``None``
         for non-detected trials).
-
-        ``batch`` selects the batched group engine (:mod:`repro.sim.batch`):
-        faults for every trial are pre-drawn in trial order from the same
-        RNG stream (executions never consume RNG, so the draw sequence is
-        untouched), trials run grouped by shared golden prefix, and
-        classification / latency / ``on_trial`` still happen in trial order
-        — the shard's :class:`ShardResult` is bit-identical either way.
         """
-        if self.resolve_batch(batch):
-            return self._run_shard_batched(
-                shard_index, shard_trials, seed, reference_dyn, on_trial
-            )
         tel = get_telemetry()
         rng = make_rng(seed, "fault-campaign", shard_index)
+        converge, guide = self._accelerators()
+        hits0 = converge.hits if converge is not None else 0
+        visits0 = guide.visits if guide is not None else 0
         counts: dict[Outcome, int] = {}
         total_faults = 0
         restores = 0
@@ -686,9 +666,7 @@ class FaultInjector:
                 if snap is not None:
                     restores += 1
                     skipped += snap.dyn
-                result = self.interp.run(
-                    faults=faults, max_steps=self.max_steps, resume_from=snap
-                )
+                result = self._execute(faults, snap)
                 outcome = classify(self.golden, result)
                 counts[outcome] = counts.get(outcome, 0) + 1
                 latency = detection_latency(result, faults)
@@ -696,89 +674,18 @@ class FaultInjector:
                     latencies.append(latency)
                 if on_trial is not None:
                     on_trial(outcome, len(faults), latency)
+            converged = converge.hits - hits0 if converge is not None else 0
+            guided = guide.visits - visits0 if guide is not None else 0
             if restores:
                 tel.count("campaign.snapshot_restores", restores)
                 tel.count("campaign.cycles_skipped", skipped)
-            sp.set(faults=total_faults, restores=restores, skipped_dyn=skipped)
-        return ShardResult(
-            index=shard_index,
-            trials=shard_trials,
-            counts=counts,
-            faults=total_faults,
-            latencies=tuple(latencies),
-        )
-
-    def _run_shard_batched(
-        self,
-        shard_index: int,
-        shard_trials: int,
-        seed: int,
-        reference_dyn: int | None,
-        on_trial: OnTrial | None,
-    ) -> ShardResult:
-        """Batched variant of :meth:`run_shard` — same contract, same bits.
-
-        The RNG draws happen up front in trial order (bit-identical to the
-        scalar loop, which also draws before executing and never consumes
-        RNG during a run); execution is then free to proceed in group
-        order.  Results are re-emitted in trial order so outcome counts,
-        the latency tuple, and ``on_trial`` callbacks are indistinguishable
-        from the scalar path.
-        """
-        tel = get_telemetry()
-        rng = make_rng(seed, "fault-campaign", shard_index)
-        plans: list[TrialPlan] = []
-        total_faults = 0
-        for t in range(shard_trials):
-            faults = self.faults_for_trial(rng, reference_dyn)
-            total_faults += len(faults)
-            plans.append(TrialPlan(index=t, faults=faults))
-
-        runner = self.batch_runner()
-        results: dict[int, RunResult] = {}
-        stats = GroupStats()
-        counts: dict[Outcome, int] = {}
-        latencies: list[int] = []
-        with tel.span(
-            "shard", cat="campaign", timer="campaign.shard.seconds",
-            shard=shard_index, trials=shard_trials, batch=True,
-        ) as sp:
-            for group in runner.plan(plans):
-                # One span per *group*, not per trial: batch lanes in the
-                # Chrome trace show the shared-prefix amortization without
-                # breaking the per-shard telemetry batching contract.
-                with tel.span(
-                    "batch:group", cat="batch", snap=group.snap_index,
-                    trials=len(group.trials),
-                ):
-                    runner.run_group(
-                        group,
-                        lambda plan, result: results.__setitem__(
-                            plan.index, result
-                        ),
-                        stats,
-                    )
-            for plan in plans:
-                result = results[plan.index]
-                outcome = classify(self.golden, result)
-                counts[outcome] = counts.get(outcome, 0) + 1
-                latency = detection_latency(result, plan.faults)
-                if latency is not None:
-                    latencies.append(latency)
-                if on_trial is not None:
-                    on_trial(outcome, len(plan.faults), latency)
-            if stats.restores:
-                tel.count("campaign.snapshot_restores", stats.restores)
-                tel.count("campaign.cycles_skipped", stats.skipped_dyn)
-            tel.count("campaign.batch_groups", stats.groups)
-            tel.count("campaign.batch_trials", shard_trials)
-            tel.count("campaign.batch_converged", stats.converged)
-            tel.count("campaign.batch_golden_dyn", stats.golden_advanced)
-            tel.count("campaign.batch_guided_visits", stats.guided_visits)
+            # The counter names predate the single execution path; readers
+            # (bench scripts, dashboards) key on them, so they stay.
+            tel.count("campaign.batch_converged", converged)
+            tel.count("campaign.batch_guided_visits", guided)
             sp.set(
-                faults=total_faults, groups=stats.groups,
-                restores=stats.restores, skipped_dyn=stats.skipped_dyn,
-                converged=stats.converged, guided=stats.guided_visits,
+                faults=total_faults, restores=restores, skipped_dyn=skipped,
+                converged=converged, guided=guided,
             )
         return ShardResult(
             index=shard_index,
@@ -801,7 +708,6 @@ class FaultInjector:
         retries: int = SHARD_RETRIES,
         retry_backoff: float = SHARD_RETRY_BACKOFF,
         shard_timeout: float | None = None,
-        batch: bool | None = None,
     ) -> CampaignResult:
         """Run ``trials`` Monte-Carlo trials and aggregate the outcomes.
 
@@ -833,15 +739,9 @@ class FaultInjector:
         ``campaign.detection_latency`` histogram, and in serial mode every
         trial additionally emits one instant event carrying its outcome
         and fault count.
-
-        ``batch`` selects the batched group engine for each shard (``None``
-        resolves via ``REPRO_BATCH`` and the backend default — see
-        :meth:`resolve_batch`); outcome counts are bit-identical either
-        way.
         """
         tel = get_telemetry()
         jobs = resolve_jobs(jobs)
-        batch = self.resolve_batch(batch)
         shard_plan = plan_shards(trials, SHARD_TRIALS)
         counts: dict[Outcome, int] = {}
         state = {"faults": 0, "latency_sum": 0, "latency_n": 0}
@@ -890,13 +790,13 @@ class FaultInjector:
         tel.event(
             "campaign-start", trials=trials, seed=seed, jobs=jobs,
             shards=len(shard_plan), fault_model=self.fault_model,
-            resumed_shards=len(done), batch=batch,
+            resumed_shards=len(done),
         )
         with tel.span(
             "campaign", cat="campaign", timer="campaign.seconds",
             trials=trials, seed=seed, jobs=jobs, shards=len(shard_plan),
             fault_model=self.fault_model, resumed_shards=len(done),
-            golden_dyn=self.golden.dyn_instructions, batch=batch,
+            golden_dyn=self.golden.dyn_instructions,
         ) as sp:
             for index in sorted(done):
                 absorb(done[index], fresh=False)
@@ -907,13 +807,12 @@ class FaultInjector:
                 self._run_shards_serial(
                     remaining, seed, reference_dyn, tracker, counts, tel,
                     state, ckpt, progress_on=progress is not None,
-                    batch=batch,
                 )
             else:
                 self._run_shards_pool(
                     remaining, seed, reference_dyn, jobs, absorb, lost_shards,
                     retries=retries, retry_backoff=retry_backoff,
-                    shard_timeout=shard_timeout, batch=batch,
+                    shard_timeout=shard_timeout,
                 )
             lost_trials = sum(shard_plan[index] for index in lost_shards)
             completed = sum(counts.values())
@@ -961,7 +860,6 @@ class FaultInjector:
         state: dict[str, int],
         ckpt: CampaignCheckpoint | None,
         progress_on: bool,
-        batch: bool = False,
     ) -> None:
         """In-process shard loop with per-trial telemetry + heartbeats.
 
@@ -991,7 +889,7 @@ class FaultInjector:
 
             sr = self.run_shard(
                 shard_index, shard_trials, seed, reference_dyn,
-                on_trial=on_trial, batch=batch,
+                on_trial=on_trial,
             )
             state["faults"] += sr.faults
             state["latency_sum"] += sum(sr.latencies)
@@ -1017,7 +915,6 @@ class FaultInjector:
         retries: int,
         retry_backoff: float,
         shard_timeout: float | None = None,
-        batch: bool = False,
     ) -> None:
         """Fan shards out over a process pool; merge as they complete.
 
@@ -1048,7 +945,7 @@ class FaultInjector:
             shards: list[tuple[int, int]], groups: list[range]
         ) -> None:
             tasks = [
-                (spec, [shards[i] for i in g], seed, reference_dyn, batch)
+                (spec, [shards[i] for i in g], seed, reference_dyn)
                 for g in groups
             ]
 
@@ -1091,7 +988,7 @@ class FaultInjector:
                 est = (
                     statistics.median(measured)
                     if measured
-                    else self.estimated_shard_seconds(batch)
+                    else self.estimated_shard_seconds()
                 )
                 run_wave(
                     rest,
@@ -1102,7 +999,7 @@ class FaultInjector:
 
 
 def _campaign_task_worker(
-    task: tuple[CampaignWorkerSpec, list[tuple[int, int]], int, int | None, bool],
+    task: tuple[CampaignWorkerSpec, list[tuple[int, int]], int, int | None],
 ) -> tuple[float, list[ShardResult]]:
     """Run a cost-calibrated group of shards in one pool dispatch.
 
@@ -1114,16 +1011,14 @@ def _campaign_task_worker(
     """
     from repro.chaos import chaos_point
 
-    spec, shards, seed, reference_dyn, batch = task
+    spec, shards, seed, reference_dyn = task
     injector: FaultInjector = worker_cached(spec.key, spec.build)
     out: list[ShardResult] = []
     t0 = time.perf_counter()
     for shard_index, shard_trials in shards:
         chaos_point("worker.shard")
         out.append(
-            injector.run_shard(
-                shard_index, shard_trials, seed, reference_dyn, batch=batch
-            )
+            injector.run_shard(shard_index, shard_trials, seed, reference_dyn)
         )
     return (time.perf_counter() - t0, out)
 
@@ -1144,7 +1039,6 @@ def run_campaign(
     backend: str | None = None,
     snapshots: bool = True,
     shard_timeout: float | None = None,
-    batch: bool | None = None,
 ) -> CampaignResult:
     """Convenience wrapper: profile + campaign in one call."""
     injector = FaultInjector(
@@ -1155,5 +1049,5 @@ def run_campaign(
         trials, seed, reference_dyn=reference_dyn,
         progress=progress, heartbeat=heartbeat, jobs=jobs,
         checkpoint=checkpoint, resume=resume,
-        shard_timeout=shard_timeout, batch=batch,
+        shard_timeout=shard_timeout,
     )

@@ -115,23 +115,25 @@ class Snapshot:
 class ConvergenceIndex:
     """Golden states a faulted run can be checked against mid-flight.
 
-    Built from the golden run's :class:`Snapshot` list (see
-    :mod:`repro.sim.batch`).  When :meth:`Interpreter.run` is given one via
-    ``converge`` it compares the live registers and memory against the
-    golden state each time execution crosses a snapshot boundary *after
-    every fault has been applied*.  A match means the remainder of the run
-    replays the golden continuation instruction for instruction — execution
-    is a deterministic function of (label, registers, memory), and output
-    is append-only — so the run finishes immediately with the golden final
-    kind / exit code / dyn count and ``output = emitted-so-far + the golden
-    output suffix past this boundary``.  A trial whose emitted output
+    Built from the golden run's :class:`Snapshot` list (the fault injector
+    owns one per golden run — see :mod:`repro.faults.injector`).  When
+    :meth:`Interpreter.run` is given one via ``converge`` it compares the
+    live registers and memory against the golden state each time
+    execution crosses a snapshot boundary *after every fault has been
+    applied*.  A match means the remainder of the run replays the golden
+    continuation instruction for instruction — execution is a deterministic
+    function of (label, registers, memory), and output is append-only — so
+    the run finishes immediately with the golden final kind / exit code /
+    dyn count and ``output = emitted-so-far + the golden output suffix past
+    this boundary``.  A trial whose emitted output
     already equals the golden prefix gets the shared ``final`` object; one
     that diverged in output alone (the silent-corruption shape: a wrong
     value was printed, the architectural state healed) still exits early
     with its own synthesized output.  Purely an early exit either way: a
     run that never matches is byte-identical to one executed without the
     index, and a run that matches returns exactly what executing the
-    suffix would have produced (asserted by the three-way parity tests).
+    suffix would have produced (asserted by the compiled-vs-interp campaign
+    parity tests).
 
     ``hits`` counts early exits taken against this index (telemetry only).
     """
@@ -677,8 +679,8 @@ class Interpreter:
         true program start), keeping outcome classification and detection
         latency identical to a replay from zero.
 
-        ``converge`` (a :class:`ConvergenceIndex`) enables the batched
-        engine's golden re-convergence early exit: once every fault has
+        ``converge`` (a :class:`ConvergenceIndex`) enables the golden
+        re-convergence early exit of fault trials: once every fault has
         been applied, crossing a golden snapshot boundary with state equal
         to the golden state at that point returns the golden final result
         immediately — the continuation would replay the golden run, so the

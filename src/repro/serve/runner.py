@@ -133,7 +133,6 @@ def _handle_inject(job: Job, ctx: RunContext) -> dict:
         checkpoint=ctx.store.checkpoint_path(job.id),
         resume=True,  # a fresh job simply finds no prior shards
         shard_timeout=ctx.shard_timeout,
-        batch=spec.get("batch"),
     )
     result = {
         "kind": "inject",

@@ -285,7 +285,7 @@ def _loop_fallback(fns) -> Callable[[], object]:
 #: source marks a block that cannot be fused (closure fallback).  Saves the
 #: per-block source *generation* walk when several interpreters share one
 #: Program — e.g. a pool worker's profile-path injector, or a bench harness
-#: building interp/compiled/batched injectors over one compile.  The code
+#: building interp and compiled injectors over one compile.  The code
 #: objects themselves are still deduplicated by the source-keyed decode
 #: cache above.
 _FUSE_SOURCE_CACHE: "weakref.WeakKeyDictionary[object, dict]" = (
@@ -345,47 +345,6 @@ def fuse_functional_blocks(interp) -> dict[str, Callable[[], object]]:
             interp._R, interp._M, interp._O, _DETECT, _div_s, _rem_s, MemoryFault
         )
     return fused
-
-
-# -- golden trace advance (batched fault trials) ------------------------------
-
-
-class TraceAdvancer:
-    """Replay a known fault-free block trace with minimum dispatch.
-
-    The batched trial engine (:mod:`repro.sim.batch`) advances a whole
-    group of trials through their shared golden prefix *once*.  Because the
-    golden control flow is already known (the profiling run recorded the
-    block trace), none of the interpreter run loop's bookkeeping — fault
-    scheduling, watchdog accounting, jump decoding — is needed: the prefix
-    is a flat list of the pre-fused superblock callables, and advancing is
-    one Python-level loop over a slice of it.  On the interp backend the
-    per-visit callable is the block's closure loop instead, so the advancer
-    works (more slowly) under either backend.
-
-    The callables close over the interpreter's live register/memory/output
-    arrays, so the advanced state is byte-identical to running the same
-    visits through :meth:`Interpreter.run`.
-    """
-
-    __slots__ = ("_fns",)
-
-    def __init__(self, interp, trace: tuple[str, ...]) -> None:
-        fused = interp._fused
-        if fused is not None:
-            per_label = fused
-        else:
-            per_label = {
-                label: _loop_fallback(cb.fns)
-                for label, cb in interp._blocks.items()
-            }
-        self._fns = [per_label[label] for label in trace]
-
-    def advance(self, start_visit: int, stop_visit: int) -> None:
-        """Execute golden trace visits ``[start_visit, stop_visit)``."""
-        fns = self._fns
-        for i in range(start_visit, stop_visit):
-            fns[i]()
 
 
 # -- timed fusion (cycle-level executor) --------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval.experiment import Evaluator
-from repro.faults.injector import CampaignResult, FaultInjector
+from repro.faults.injector import MIN_TASK_SECONDS, CampaignResult, FaultInjector
 from repro.machine.config import MachineConfig
 from repro.obs.progress import ProgressEvent, ProgressTracker
 from repro.parallel import (
@@ -22,6 +22,7 @@ from repro.parallel import (
     effective_cores,
     parallel_map,
     plan_shards,
+    plan_task_groups,
     resolve_jobs,
 )
 from repro.pipeline import Scheme, compile_program
@@ -96,6 +97,35 @@ class TestPlanShards:
             plan_shards(-1)
         with pytest.raises(ValueError):
             plan_shards(10, 0)
+
+
+class TestPlanTaskGroups:
+    def test_groups_cover_all_items_in_order(self):
+        groups = plan_task_groups(10, 0.01, jobs=2, min_task_seconds=0.25)
+        assert [i for g in groups for i in g] == list(range(10))
+
+    def test_cheap_items_are_grouped_to_min_task_seconds(self):
+        # 10ms items, 250ms floor -> 25 items per task.
+        groups = plan_task_groups(100, 0.010, jobs=2, min_task_seconds=0.25)
+        assert len(groups[0]) == 25
+
+    def test_grouping_capped_so_every_worker_gets_work(self):
+        # The floor would ask for one giant task; the jobs cap splits it.
+        groups = plan_task_groups(8, 0.001, jobs=4, min_task_seconds=10.0)
+        assert len(groups) == 4
+        assert max(len(g) for g in groups) == 2
+
+    def test_expensive_items_stay_singleton_tasks(self):
+        groups = plan_task_groups(5, 3.0, jobs=2, min_task_seconds=0.25)
+        assert [len(g) for g in groups] == [1] * 5
+
+    def test_empty_and_invalid(self):
+        assert plan_task_groups(0, 1.0, jobs=2) == []
+        with pytest.raises(ValueError):
+            plan_task_groups(-1, 1.0, jobs=2)
+
+    def test_min_task_seconds_constant_exported(self):
+        assert MIN_TASK_SECONDS > 0
 
 
 def _double(x):
