@@ -194,7 +194,7 @@ def bench_campaign(trials: int, jobs: int, seed: int = 2013) -> dict:
     # Pool-warm scale cohort: the parallel layer measured the way real
     # campaigns now run — one persistent WorkerPool reused across reps, at
     # a trial count large enough (>= 4 full task waves per worker) that the
-    # adaptive shard grouping has something to amortize.  Comparing against
+    # fixed shard groups have something to amortize.  Comparing against
     # the serial default path at the same scale isolates what the pool
     # itself buys; ``pool_efficiency`` normalizes by the worker count the
     # scheduler can actually run side by side.

@@ -385,7 +385,6 @@ def _record_campaign_run(args, res, wall_s: float, jobs: int) -> None:
         "scheme": args.scheme,
         "fault_model": args.fault_model,
         "backend": args.backend or os.environ.get("REPRO_SIM_BACKEND", "compiled"),
-        "snapshots": not args.no_snapshots,
         "trials": res.trials,
         "requested_trials": args.trials,
         "seed": args.seed,
@@ -437,7 +436,6 @@ def cmd_inject(args) -> int:
         frame_words=compiled.frame_words,
         fault_model=args.fault_model,
         backend=args.backend,
-        snapshots=not args.no_snapshots,
     )
     progress = None
     if args.progress:
@@ -448,8 +446,8 @@ def cmd_inject(args) -> int:
         progress = print_progress
     jobs = _jobs(args)
     t0 = time.perf_counter()
-    # The CLI owns the pool scope: everything this command fans out —
-    # calibration wave, adaptive wave, retry rounds — shares one spawn.
+    # The CLI owns the pool scope: the campaign's shard tasks and any retry
+    # rounds share one spawn.
     from repro.parallel import ensure_pool
 
     with ensure_pool(jobs):
@@ -901,11 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip shards already recorded in --checkpoint FILE",
     )
     _add_backend(p)
-    p.add_argument(
-        "--no-snapshots", action="store_true",
-        help="replay every trial from cycle 0 instead of resuming from the "
-        "nearest golden-run snapshot (results are bit-identical either way)",
-    )
     p.add_argument(
         "--ledger", action="store_true",
         help="record this campaign in the content-addressed run ledger "

@@ -53,8 +53,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import statistics
-import time
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -84,15 +82,14 @@ from repro.ir.interp import (
 from repro.ir.printer import canonical_program_text
 from repro.ir.program import Program
 from repro.isa.registers import RegClass
-from repro.obs import Telemetry, get_telemetry
+from repro.obs import get_telemetry
 from repro.obs.progress import ProgressCallback, ProgressTracker
 from repro.parallel import (
     SHARD_TRIALS,
+    TASKS_PER_WORKER,
     PickledOnce,
-    ensure_pool,
     parallel_map,
     plan_shards,
-    plan_task_groups,
     resolve_jobs,
     worker_cached,
 )
@@ -120,13 +117,6 @@ SNAPSHOT_COUNT = 64
 #: Skip checkpointing entirely below this golden dynamic-instruction count —
 #: tiny programs replay faster than they restore.
 SNAPSHOT_MIN_DYN = 2_000
-
-#: Minimum seconds of estimated work per pool task: shards are grouped into
-#: tasks until each task carries at least this much, so cheap shards stop
-#: paying one IPC round trip each.  The *shard* stays the RNG and
-#: checkpoint unit — grouping never changes which stream a trial draws from
-#: (see docs/performance.md, "Adaptive task sizing").
-MIN_TASK_SECONDS = 0.25
 
 #: Default extra attempts for a shard whose pool worker died.
 SHARD_RETRIES = 2
@@ -265,15 +255,14 @@ class WorkerProfile:
     """A parent injector's profiling results, packaged for pool workers.
 
     Everything :class:`FaultInjector` computes by *executing* the program —
-    the golden run, its wall cost, and the architectural snapshots — so a
-    worker-side rebuild only re-decodes the program (the compiled closures
-    don't pickle) and skips both golden replays.  The snapshots are plain
+    the golden run and the architectural snapshots — so a worker-side
+    rebuild only re-decodes the program (the compiled closures don't
+    pickle) and skips both golden replays.  The snapshots are plain
     tuples pickled once per injector inside the worker spec's payload
     (a few hundred KB for our workloads).
     """
 
     golden: RunResult
-    golden_run_seconds: float
     snapshots: tuple[Snapshot, ...]
 
 
@@ -353,7 +342,6 @@ class FaultInjector:
                     backend=backend,
                 )
                 self.golden: RunResult = profile.golden
-                self.golden_run_seconds = profile.golden_run_seconds
                 if not self.golden.block_trace:
                     raise SimError("shipped golden profile carries no trace")
                 self._snapshots: list[Snapshot] = list(profile.snapshots)
@@ -374,12 +362,7 @@ class FaultInjector:
                     program, mem_words=mem_words, frame_words=frame_words,
                     backend=backend,
                 )
-                t0 = time.perf_counter()
                 self.golden = self.interp.run(record_trace=True)
-                #: Wall cost of one fault-free execution — the calibration
-                #: input for adaptive pool task sizing
-                #: (estimated_shard_seconds).
-                self.golden_run_seconds = time.perf_counter() - t0
                 if not self.golden.block_trace:
                     raise SimError("profiling run produced no trace")
                 sp.set(golden_dyn=self.golden.dyn_instructions)
@@ -472,33 +455,14 @@ class FaultInjector:
             )
         return self._accel
 
-    def estimated_shard_seconds(self) -> float:
-        """Calibrated wall-cost estimate of one full campaign shard.
-
-        Derived from the measured golden-run cost: a trial resumes from the
-        nearest snapshot and, on the compiled backend, usually early-exits
-        at the next snapshot boundary, costing a small fraction of a golden
-        run; on interp it executes on average about half the program (the
-        whole program without snapshots).  Only used to size pool tasks —
-        never affects results.
-        """
-        golden = max(self.golden_run_seconds, 1e-6)
-        if self._snapshots and self.interp.backend == "compiled":
-            per_trial = golden * 0.05
-        elif self._snapshots:
-            per_trial = golden * 0.6
-        else:
-            per_trial = golden
-        return SHARD_TRIALS * per_trial
-
     def worker_spec(self) -> CampaignWorkerSpec:
         """The content-addressed build recipe pool workers cache this injector by.
 
         Memoized: the constructor payload — snapshots included — is pickled
-        exactly once per injector, no matter how many campaigns, dispatch
-        waves, or retry rounds ship it.  The key hashes the *resolved*
-        backend (not the ``None`` the caller may have passed) so a worker
-        rebuild can never resolve differently from the parent.
+        exactly once per injector, no matter how many campaigns, tasks or
+        retry rounds ship it.  The key hashes the *resolved* backend (not
+        the ``None`` the caller may have passed) so a worker rebuild can
+        never resolve differently from the parent.
         """
         if self._worker_spec is None:
             (
@@ -514,9 +478,7 @@ class FaultInjector:
                 )).encode()
             )
             profile = WorkerProfile(
-                golden=self.golden,
-                golden_run_seconds=self.golden_run_seconds,
-                snapshots=tuple(self._snapshots),
+                golden=self.golden, snapshots=tuple(self._snapshots)
             )
             ctor_args = (
                 program, mem_words, frame_words, fault_model,
@@ -767,8 +729,30 @@ class FaultInjector:
                 if index < len(shard_plan)
             }
 
+        emit_trials = tel.enabled and tel.tracer is not None
+        trial_index = 0
+        # Outcomes of the serial shard in flight, reported trial by trial
+        # (``trial`` instants, mid-shard heartbeats) before ``absorb``
+        # merges the finished shard.
+        live: dict[Outcome, int] = {}
+
+        def on_trial(outcome: Outcome, n_faults: int, latency: int | None) -> None:
+            nonlocal trial_index
+            if emit_trials:
+                tel.instant(
+                    "trial", cat="campaign", index=trial_index,
+                    outcome=outcome.value, faults=n_faults,
+                )
+            trial_index += 1
+            live[outcome] = live.get(outcome, 0) + 1
+            if progress is not None:
+                so_far = dict(counts)
+                for o, n in live.items():
+                    so_far[o] = so_far.get(o, 0) + n
+                tracker.step({o.value: n for o, n in so_far.items()})
+
         def absorb(sr: ShardResult, fresh: bool) -> None:
-            """Merge one shard; persist it when freshly computed."""
+            """Merge one finished shard; persist it when freshly computed."""
             for o, n in sr.counts.items():
                 counts[o] = counts.get(o, 0) + n
             state["faults"] += sr.faults
@@ -784,7 +768,12 @@ class FaultInjector:
                 outcomes={o.value: n for o, n in sr.counts.items()},
             )
             if progress is not None:
-                tracker.advance(sr.trials, {o.value: n for o, n in counts.items()})
+                # A serial shard already stepped the tracker per trial.
+                tracker.advance(
+                    sr.trials - sum(live.values()),
+                    {o.value: n for o, n in counts.items()},
+                )
+            live.clear()
 
         lost_shards: list[int] = []
         tel.event(
@@ -804,10 +793,11 @@ class FaultInjector:
                 (index, n) for index, n in enumerate(shard_plan) if index not in done
             ]
             if jobs <= 1 or len(remaining) <= 1:
-                self._run_shards_serial(
-                    remaining, seed, reference_dyn, tracker, counts, tel,
-                    state, ckpt, progress_on=progress is not None,
-                )
+                for index, n in remaining:
+                    sr = self.run_shard(
+                        index, n, seed, reference_dyn, on_trial=on_trial
+                    )
+                    absorb(sr, fresh=True)
             else:
                 self._run_shards_pool(
                     remaining, seed, reference_dyn, jobs, absorb, lost_shards,
@@ -849,61 +839,6 @@ class FaultInjector:
             partial=lost_trials > 0,
         )
 
-    def _run_shards_serial(
-        self,
-        remaining: list[tuple[int, int]],
-        seed: int,
-        reference_dyn: int | None,
-        tracker: ProgressTracker,
-        counts: dict[Outcome, int],
-        tel: Telemetry,
-        state: dict[str, int],
-        ckpt: CampaignCheckpoint | None,
-        progress_on: bool,
-    ) -> None:
-        """In-process shard loop with per-trial telemetry + heartbeats.
-
-        Outcome counts and progress heartbeats are applied trial by trial
-        (so heartbeats land mid-shard); the shard's fault total, latency
-        histogram entries, and checkpoint record land once the shard
-        completes.
-        """
-        emit_trials = tel.enabled and tel.tracer is not None
-        trial_index = 0
-
-        for shard_index, shard_trials in remaining:
-
-            def on_trial(
-                outcome: Outcome, n_faults: int, latency: int | None
-            ) -> None:
-                nonlocal trial_index
-                counts[outcome] = counts.get(outcome, 0) + 1
-                if emit_trials:
-                    tel.instant(
-                        "trial", cat="campaign", index=trial_index,
-                        outcome=outcome.value, faults=n_faults,
-                    )
-                trial_index += 1
-                if progress_on:
-                    tracker.step({o.value: n for o, n in counts.items()})
-
-            sr = self.run_shard(
-                shard_index, shard_trials, seed, reference_dyn,
-                on_trial=on_trial,
-            )
-            state["faults"] += sr.faults
-            state["latency_sum"] += sum(sr.latencies)
-            state["latency_n"] += len(sr.latencies)
-            for v in sr.latencies:
-                tel.observe("campaign.detection_latency", v)
-            if ckpt is not None:
-                ckpt.append(sr.to_json())
-            tel.event(
-                "shard-done", shard=sr.index, trials=sr.trials,
-                faults=sr.faults, fresh=True,
-                outcomes={o.value: n for o, n in sr.counts.items()},
-            )
-
     def _run_shards_pool(
         self,
         remaining: list[tuple[int, int]],
@@ -918,110 +853,71 @@ class FaultInjector:
     ) -> None:
         """Fan shards out over a process pool; merge as they complete.
 
-        Dispatch happens in two waves over one :func:`ensure_pool` scope
-        (reusing an ambient :class:`~repro.parallel.WorkerPool` when the
-        caller installed one — CLI, serve, bench — and spawning exactly
-        once otherwise):
+        One :func:`~repro.parallel.parallel_map` call dispatches the
+        remaining shards as contiguous groups of
+        ``ceil(len(remaining) / (TASKS_PER_WORKER * jobs))`` shards (see
+        :data:`~repro.parallel.TASKS_PER_WORKER`).  It runs on the ambient
+        :class:`~repro.parallel.WorkerPool` when the caller installed one
+        (CLI, serve, bench) and on an ephemeral pool otherwise.
 
-        1. a *calibration* wave of up to ``jobs`` single-shard tasks, whose
-           measured wall cost replaces the golden-run-derived estimate;
-        2. the rest, grouped by :func:`~repro.parallel.plan_task_groups`
-           around the **median measured** per-shard cost (see
-           :data:`MIN_TASK_SECONDS`), so dispatch granularity tracks what
-           shards actually cost on this machine rather than a static
-           guess.
-
-        Grouping and wave boundaries only decide *dispatch*; the shard
-        remains the RNG / checkpoint / retry-accounting unit — a lost task
-        reports every shard it carried, and results are bit-identical for
-        any grouping.  Workers build (or fetch from their content-addressed
-        cache) the injector from :meth:`worker_spec`, so profiling happens
-        at most once per worker per (program, scheme) — not per task.
+        Grouping only decides *dispatch*; the shard remains the RNG /
+        checkpoint / retry-accounting unit — a lost task reports every
+        shard it carried, and results are bit-identical for any grouping.
+        Workers build (or fetch from their content-addressed cache) the
+        injector from :meth:`worker_spec`, so profiling happens at most
+        once per worker per (program, scheme) — not per task.
         """
+        per_task = -(-len(remaining) // (TASKS_PER_WORKER * jobs))
+        groups = [
+            remaining[i:i + per_task] for i in range(0, len(remaining), per_task)
+        ]
         spec = self.worker_spec()
-        measured: list[float] = []
 
-        def run_wave(
-            shards: list[tuple[int, int]], groups: list[range]
-        ) -> None:
-            tasks = [
-                (spec, [shards[i] for i in g], seed, reference_dyn)
-                for g in groups
-            ]
+        def on_result(index: int, srs: list[ShardResult]) -> None:
+            for sr in srs:
+                absorb(sr, fresh=True)
 
-            def on_result(
-                index: int, payload: tuple[float, list[ShardResult]]
-            ) -> None:
-                elapsed, srs = payload
-                if srs:
-                    measured.append(elapsed / len(srs))
-                for sr in srs:
-                    absorb(sr, fresh=True)
-
-            def on_failure(index: int, exc: BaseException) -> None:
-                for i in groups[index]:
-                    shard_index = shards[i][0]
-                    logger.warning("shard %d lost: %s", shard_index, exc)
-                    get_telemetry().event(
-                        "shard-lost", shard=shard_index, error=str(exc)
-                    )
-                    lost_shards.append(shard_index)
-
-            parallel_map(
-                _campaign_task_worker,
-                tasks,
-                jobs=jobs,
-                on_result=on_result,
-                retries=retries,
-                retry_backoff=retry_backoff,
-                timeout=shard_timeout,
-                on_failure=on_failure,
-            )
-
-        with ensure_pool(jobs):
-            first = min(jobs, len(remaining))
-            run_wave(
-                remaining[:first], [range(i, i + 1) for i in range(first)]
-            )
-            rest = remaining[first:]
-            if rest:
-                est = (
-                    statistics.median(measured)
-                    if measured
-                    else self.estimated_shard_seconds()
+        def on_failure(index: int, exc: BaseException) -> None:
+            for shard_index, _ in groups[index]:
+                logger.warning("shard %d lost: %s", shard_index, exc)
+                get_telemetry().event(
+                    "shard-lost", shard=shard_index, error=str(exc)
                 )
-                run_wave(
-                    rest,
-                    plan_task_groups(
-                        len(rest), est, jobs, min_task_seconds=MIN_TASK_SECONDS
-                    ),
-                )
+                lost_shards.append(shard_index)
+
+        parallel_map(
+            _campaign_task_worker,
+            [(spec, group, seed, reference_dyn) for group in groups],
+            jobs=jobs,
+            on_result=on_result,
+            retries=retries,
+            retry_backoff=retry_backoff,
+            timeout=shard_timeout,
+            on_failure=on_failure,
+        )
 
 
 def _campaign_task_worker(
     task: tuple[CampaignWorkerSpec, list[tuple[int, int]], int, int | None],
-) -> tuple[float, list[ShardResult]]:
-    """Run a cost-calibrated group of shards in one pool dispatch.
+) -> list[ShardResult]:
+    """Run one contiguous group of shards in one pool dispatch.
 
     The injector comes from the worker-resident content-addressed cache:
     the first task per (program, scheme) on a worker builds it from the
     spec's shipped profile (decode only — no golden replays), every later
-    task reuses it.  Returns the wall seconds spent alongside the shard
-    results so the parent can calibrate adaptive task sizing.
+    task reuses it.
     """
     from repro.chaos import chaos_point
 
     spec, shards, seed, reference_dyn = task
     injector: FaultInjector = worker_cached(spec.key, spec.build)
     out: list[ShardResult] = []
-    t0 = time.perf_counter()
     for shard_index, shard_trials in shards:
         chaos_point("worker.shard")
         out.append(
             injector.run_shard(shard_index, shard_trials, seed, reference_dyn)
         )
-    return (time.perf_counter() - t0, out)
-
+    return out
 
 def run_campaign(
     program: Program,

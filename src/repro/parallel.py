@@ -14,9 +14,9 @@ this module provides the pieces everything else builds on:
   from ``(seed, shard_index)``);
 * :class:`WorkerPool` — a persistent, lazily spawned process pool that
   stays alive across maps.  Spawning workers and re-importing the world
-  in each of them is pure fixed overhead; a campaign's two dispatch waves,
-  a sweep following a campaign, or a ``repro serve`` daemon executing many
-  jobs all reuse one pool (``pool.reuses`` counts how often that pays).
+  in each of them is pure fixed overhead; a sweep following a campaign or
+  a ``repro serve`` daemon executing many jobs all reuse one pool
+  (``pool.reuses`` counts how often that pays).
   Crash/hang semantics are preserved: a broken pool is discarded and
   respawned for the retry round, and the per-task ``timeout`` watchdog
   still SIGKILLs hung workers;
@@ -70,7 +70,7 @@ from repro.obs.telemetry import absorb_worker_snapshot, get_telemetry
 
 logger = logging.getLogger(__name__)
 
-#: Default jitter fraction applied to retry backoff sleeps: each sleep is
+#: Jitter fraction applied to retry backoff sleeps: each sleep is
 #: stretched by up to this fraction, drawn uniformly, so many clients
 #: retrying after a shared failure do not re-arrive in lockstep.
 RETRY_JITTER = 0.25
@@ -79,6 +79,14 @@ RETRY_JITTER = 0.25
 #: contract: changing it changes which RNG stream each trial draws from,
 #: so treat it like a cache-version bump.
 SHARD_TRIALS = 25
+
+#: Pool tasks per worker when a campaign fans its shards out: the shards
+#: are dispatched as contiguous groups of ``ceil(shards / (TASKS_PER_WORKER
+#: * jobs))``.  Every task ships the injector's pickled worker spec (a few
+#: hundred KB of golden state), so grouping amortizes that cost; about four
+#: tasks per worker still let a fast worker take up a slow one's slack.
+#: Dispatch only — the shard stays the RNG and checkpoint unit.
+TASKS_PER_WORKER = 4
 
 
 def _cgroup_cpu_quota() -> int | None:
@@ -164,56 +172,22 @@ def plan_shards(total: int, shard_size: int = SHARD_TRIALS) -> list[int]:
     return plan
 
 
-def plan_task_groups(
-    n_items: int,
-    est_item_seconds: float,
-    jobs: int,
-    min_task_seconds: float = 0.25,
-) -> list[range]:
-    """Group ``n_items`` work items into contiguous pool-task ranges.
-
-    Each group carries at least ``min_task_seconds`` of estimated work
-    (``est_item_seconds`` per item), so that cheap items — compiled campaign
-    shards take only a few milliseconds — stop paying one IPC round trip
-    each.  Grouping is capped at ``ceil(n_items / jobs)`` items per task so
-    every worker still gets work.  Like :func:`plan_shards`, the grouping
-    only decides *dispatch*: items keep their own identity (RNG stream,
-    checkpoint record), so results are bit-identical for any grouping.
-    """
-    if n_items < 0:
-        raise ValueError(f"n_items must be >= 0, got {n_items}")
-    if n_items == 0:
-        return []
-    per = max(1, -(-min_task_seconds // max(est_item_seconds, 1e-9)))
-    per = int(min(per, -(-n_items // max(jobs, 1))))
-    return [range(i, min(i + per, n_items)) for i in range(0, n_items, per)]
-
-
-def _pool_bootstrap(
-    initializer: Callable[..., None] | None,
-    initargs: tuple,
-    capture: bool = False,
-) -> None:
+def _pool_bootstrap(capture: bool) -> None:
     """Run in every worker before its first task.
 
     Telemetry objects forked from the parent share its trace-file handle;
     writing to it from several processes would interleave JSON lines, so
     workers never inherit the parent's sinks.  With ``capture`` on (the
     parent has live telemetry) the worker instead records into an
-    in-memory capture telemetry — installed *before* the user initializer
-    so expensive per-worker setup (program re-decode, golden-run
-    profiling) is visible in the merged trace; its spans ride back with
-    the worker's first task result.  A persistent pool can outlive this
-    initial choice, so :func:`_pool_call` re-asserts the capture mode at
-    every task.
+    in-memory capture telemetry whose spans ride back with the worker's
+    task results.  A persistent pool can outlive this initial choice, so
+    :func:`_pool_call` re-asserts the capture mode at every task.
     """
     from repro import obs
 
     obs.reset()
     if capture:
         obs.configure_worker_capture()
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _noop() -> None:
@@ -378,15 +352,8 @@ class WorkerPool:
     Not safe for concurrent maps from multiple threads.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        self._initializer = initializer
-        self._initargs = initargs
         self._pool: ProcessPoolExecutor | None = None
         #: Executor spawns (1 for a pool that never lost a worker).
         self.spawns = 0
@@ -404,8 +371,7 @@ class WorkerPool:
         t0 = time.perf_counter()
         self._pool = ProcessPoolExecutor(
             max_workers=self.jobs,
-            initializer=_pool_bootstrap,
-            initargs=(self._initializer, self._initargs, capture),
+            initializer=partial(_pool_bootstrap, capture),
         )
         # One warm-up round trip: ProcessPoolExecutor forks its workers on
         # first submit, so without this the spawn cost would be silently
@@ -471,7 +437,6 @@ class WorkerPool:
         on_result: Callable[[int, Any], None] | None = None,
         retries: int = 0,
         retry_backoff: float = 0.0,
-        retry_jitter: float = RETRY_JITTER,
         timeout: float | None = None,
         on_failure: Callable[[int, BaseException], None] | None = None,
     ) -> list[Any]:
@@ -528,8 +493,7 @@ class WorkerPool:
             if sleep_before_next and retry_backoff > 0:
                 backoff_round += 1
                 sleep_s = retry_backoff * (2 ** (backoff_round - 1))
-                if retry_jitter > 0:
-                    sleep_s *= 1.0 + random.uniform(0.0, retry_jitter)
+                sleep_s *= 1.0 + random.uniform(0.0, RETRY_JITTER)
                 time.sleep(sleep_s)
             this_round, pending = pending, []
             charged = False
@@ -682,10 +646,10 @@ def current_pool() -> WorkerPool | None:
 def ensure_pool(jobs: int | None = None) -> Iterator[WorkerPool | None]:
     """An ambient pool for the block: reuse the current one or own a new one.
 
-    The reuse-or-create idiom every multi-map driver wants: ``run_campaign``
-    wraps its dispatch waves in ``ensure_pool(jobs)`` so they share one
-    spawn, and when the CLI (or the serve runner) already installed a
-    longer-lived pool the campaign transparently borrows it instead.
+    The reuse-or-create idiom every multi-map driver wants: the CLI wraps a
+    command in ``ensure_pool(jobs)`` so all of its maps share one spawn,
+    and when a caller (the serve runner, a bench harness) already installed
+    a longer-lived pool the command transparently borrows it instead.
     Yields ``None`` without creating anything when ``jobs`` resolves to 1 —
     serial execution stays process-pool-free.  A newly created pool spawns
     lazily (on the first real map) and is shut down on exit; a borrowed one
@@ -706,25 +670,19 @@ def parallel_map(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
     jobs: int | None = 1,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
     on_result: Callable[[int, Any], None] | None = None,
     retries: int = 0,
     retry_backoff: float = 0.0,
-    retry_jitter: float = RETRY_JITTER,
     timeout: float | None = None,
     on_failure: Callable[[int, BaseException], None] | None = None,
 ) -> list[Any]:
     """Map ``fn`` over ``tasks``, preserving task order in the result list.
 
     With ``jobs <= 1`` (or fewer than two tasks and no ambient pool)
-    everything runs inline in the calling process and ``initializer`` is
-    **not** invoked — inline callers must not rely on worker-only globals.
-    Otherwise tasks are distributed over a process pool: the thread's
-    ambient :class:`WorkerPool` when one is installed (and no
-    ``initializer`` is requested — per-spawn initializers cannot apply to
-    already-running workers), else an ephemeral pool torn down when the map
-    returns.
+    everything runs inline in the calling process.  Otherwise tasks are
+    distributed over a process pool: the thread's ambient
+    :class:`WorkerPool` when one is installed, else an ephemeral pool torn
+    down when the map returns.
 
     ``on_result(index, result)`` fires as each task finishes (completion
     order, not task order) — the hook the campaign and sweep drivers use to
@@ -735,7 +693,7 @@ def parallel_map(
     its worker process dies (``BrokenProcessPool`` — an OOM kill, a signal,
     a segfaulting extension).  Each task is retried up to ``retries`` extra
     times, waiting ``retry_backoff * 2**(round-1)`` seconds between charged
-    rounds — exponential, stretched by up to ``retry_jitter`` of itself
+    rounds — exponential, stretched by up to :data:`RETRY_JITTER` of itself
     (drawn uniformly) so synchronized failures do not retry in lockstep; a
     dead pool is respawned and the unfinished tasks resubmitted to fresh
     workers.  A worker death cannot be attributed to one task exactly, so a
@@ -761,7 +719,7 @@ def parallel_map(
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
-    ambient = current_pool() if initializer is None else None
+    ambient = current_pool()
     if jobs <= 1 or (len(tasks) <= 1 and ambient is None):
         results = []
         for i, task in enumerate(tasks):
@@ -784,17 +742,13 @@ def parallel_map(
     if ambient is not None:
         return ambient.map(
             fn, tasks, jobs=jobs, on_result=on_result, retries=retries,
-            retry_backoff=retry_backoff, retry_jitter=retry_jitter,
-            timeout=timeout, on_failure=on_failure,
+            retry_backoff=retry_backoff, timeout=timeout, on_failure=on_failure,
         )
-    ephemeral = WorkerPool(
-        min(jobs, len(tasks)), initializer=initializer, initargs=initargs
-    )
+    ephemeral = WorkerPool(min(jobs, len(tasks)))
     try:
         return ephemeral.map(
             fn, tasks, on_result=on_result, retries=retries,
-            retry_backoff=retry_backoff, retry_jitter=retry_jitter,
-            timeout=timeout, on_failure=on_failure,
+            retry_backoff=retry_backoff, timeout=timeout, on_failure=on_failure,
         )
     finally:
         ephemeral.shutdown()

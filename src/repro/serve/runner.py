@@ -115,7 +115,6 @@ def _handle_inject(job: Job, ctx: RunContext) -> dict:
         frame_words=compiled.frame_words,
         fault_model=spec.get("fault_model", "reg-bit"),
         backend=spec.get("backend"),
-        snapshots=bool(spec.get("snapshots", True)),
     )
     ctx.check()
 
@@ -272,6 +271,8 @@ class JobRunner(threading.Thread):
         self.default_deadline_s = default_deadline_s
         self.metrics = metrics
         self._stopping = threading.Event()
+        #: Whether :meth:`stop` asked for the current job to be requeued.
+        self._requeue_on_stop = True
         self._lock = threading.Lock()
         #: (job, monotonic deadline or None) while a job is executing.
         self._current: tuple[Job, float | None] | None = None
@@ -300,9 +301,14 @@ class JobRunner(threading.Thread):
             )
 
     def stop(self, requeue_current: bool = True) -> None:
-        """Stop after the current job yields (graceful-shutdown half)."""
-        self._stopping.set()
+        """Stop after the current job yields (graceful-shutdown half).
+
+        With ``requeue_current`` the running job — or one :meth:`execute`
+        is starting right now — is interrupted and returned to the queue.
+        """
         with self._lock:
+            self._stopping.set()
+            self._requeue_on_stop = requeue_current
             current = self._current
         if requeue_current and current is not None:
             self.request_cancel(
@@ -362,12 +368,18 @@ class JobRunner(threading.Thread):
             else None
         )
         t0 = time.monotonic()
+        # Publish the job before it is persisted as running.  stop() and
+        # this block hold the same lock, so a shutdown either finds the job
+        # current or has already set _stopping — a job popped while the
+        # daemon is stopping is requeued, never run to completion.
+        with self._lock:
+            self._current = (job, deadline)
+            if self._stopping.is_set() and self._requeue_on_stop:
+                self._cancel[job.id] = ("daemon-shutdown", True)
         job.transition(JobState.RUNNING)
         job.attempts += 1
         job.started_at = time.time()
         self.store.save(job)
-        with self._lock:
-            self._current = (job, deadline)
         set_telemetry(job_tel)
         job_tel.event(
             "job-start", job=job.id, job_kind=job.kind, client=job.client,

@@ -14,15 +14,16 @@ from pathlib import Path
 import pytest
 
 from repro.eval.experiment import Evaluator
-from repro.faults.injector import MIN_TASK_SECONDS, CampaignResult, FaultInjector
+import repro.faults.injector as injector_mod
+from repro.faults.injector import CampaignResult, FaultInjector
 from repro.machine.config import MachineConfig
 from repro.obs.progress import ProgressEvent, ProgressTracker
 from repro.parallel import (
     SHARD_TRIALS,
+    TASKS_PER_WORKER,
     effective_cores,
     parallel_map,
     plan_shards,
-    plan_task_groups,
     resolve_jobs,
 )
 from repro.pipeline import Scheme, compile_program
@@ -97,35 +98,6 @@ class TestPlanShards:
             plan_shards(-1)
         with pytest.raises(ValueError):
             plan_shards(10, 0)
-
-
-class TestPlanTaskGroups:
-    def test_groups_cover_all_items_in_order(self):
-        groups = plan_task_groups(10, 0.01, jobs=2, min_task_seconds=0.25)
-        assert [i for g in groups for i in g] == list(range(10))
-
-    def test_cheap_items_are_grouped_to_min_task_seconds(self):
-        # 10ms items, 250ms floor -> 25 items per task.
-        groups = plan_task_groups(100, 0.010, jobs=2, min_task_seconds=0.25)
-        assert len(groups[0]) == 25
-
-    def test_grouping_capped_so_every_worker_gets_work(self):
-        # The floor would ask for one giant task; the jobs cap splits it.
-        groups = plan_task_groups(8, 0.001, jobs=4, min_task_seconds=10.0)
-        assert len(groups) == 4
-        assert max(len(g) for g in groups) == 2
-
-    def test_expensive_items_stay_singleton_tasks(self):
-        groups = plan_task_groups(5, 3.0, jobs=2, min_task_seconds=0.25)
-        assert [len(g) for g in groups] == [1] * 5
-
-    def test_empty_and_invalid(self):
-        assert plan_task_groups(0, 1.0, jobs=2) == []
-        with pytest.raises(ValueError):
-            plan_task_groups(-1, 1.0, jobs=2)
-
-    def test_min_task_seconds_constant_exported(self):
-        assert MIN_TASK_SECONDS > 0
 
 
 def _double(x):
@@ -216,6 +188,58 @@ class TestCampaignDeterminism:
         assert events, "no heartbeats fired"
         assert events[-1].done == res.trials == 60
         assert sum(events[-1].counts.values()) == 60
+
+
+def _recording_map(calls):
+    """A parallel_map that records each call's shard groups, then runs inline."""
+
+    def fake(fn, tasks, jobs=1, on_result=None, **kwargs):
+        tasks = list(tasks)
+        calls.append([task[1] for task in tasks])
+        return parallel_map(fn, tasks, jobs=1, on_result=on_result)
+
+    return fake
+
+
+class TestCampaignDispatch:
+    """A pool campaign is one parallel_map over contiguous shard groups."""
+
+    @pytest.mark.parametrize("trials, jobs", [(230, 2), (1000, 2), (75, 4), (1000, 3)])
+    def test_one_map_of_contiguous_groups(
+        self, loop_injector_pair, monkeypatch, trials, jobs
+    ):
+        inj, _ = loop_injector_pair
+        serial = inj.run_campaign(trials=trials, seed=4)
+        calls: list = []
+        monkeypatch.setattr(injector_mod, "parallel_map", _recording_map(calls))
+        res = inj.run_campaign(trials=trials, seed=4, jobs=jobs)
+        assert len(calls) == 1
+        groups = calls[0]
+        assert [s for g in groups for s in g] == list(enumerate(plan_shards(trials)))
+        per = -(-len(plan_shards(trials)) // (TASKS_PER_WORKER * jobs))
+        assert [len(g) for g in groups[:-1]] == [per] * (len(groups) - 1)
+        assert 1 <= len(groups[-1]) <= per
+        assert res.counts == serial.counts
+        assert res.total_faults_injected == serial.total_faults_injected
+
+    def test_resume_dispatches_only_the_remaining_shards(
+        self, loop_injector_pair, monkeypatch, tmp_path
+    ):
+        inj, _ = loop_injector_pair
+        path = tmp_path / "c.jsonl"
+        full = inj.run_campaign(trials=480, seed=6, checkpoint=path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4]) + "\n")  # header + shards 0-2
+        calls: list = []
+        monkeypatch.setattr(injector_mod, "parallel_map", _recording_map(calls))
+        res = inj.run_campaign(
+            trials=480, seed=6, jobs=2, checkpoint=path, resume=True
+        )
+        assert len(calls) == 1
+        plan = list(enumerate(plan_shards(480)))
+        assert [s for g in calls[0] for s in g] == plan[3:]
+        assert max(len(g) for g in calls[0]) == 3  # ceil(17 / 8)
+        assert res.counts == full.counts
 
 
 class TestMergedValidation:

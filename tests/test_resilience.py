@@ -248,11 +248,8 @@ class TestCampaignDegradation:
     def _lossy_parallel_map(self, lost_task_index):
         """A parallel_map that computes inline but 'loses' one task."""
 
-        def fake(fn, tasks, jobs=1, initializer=None, initargs=(),
-                 on_result=None, retries=0, retry_backoff=0.0,
-                 timeout=None, on_failure=None, **kwargs):
-            if initializer is not None:
-                initializer(*initargs)
+        def fake(fn, tasks, jobs=1, on_result=None, retries=0,
+                 retry_backoff=0.0, timeout=None, on_failure=None, **kwargs):
             results = []
             for i, task in enumerate(tasks):
                 if i == lost_task_index:
@@ -272,9 +269,8 @@ class TestCampaignDegradation:
         monkeypatch.setattr(
             injector_mod, "parallel_map", self._lossy_parallel_map(1)
         )
-        # Pin one shard per pool task so "task 1 lost" means "shard 1 lost"
-        # regardless of the cost-calibrated task grouping.
-        monkeypatch.setattr(injector_mod, "MIN_TASK_SECONDS", 0.0)
+        # 3 shards at jobs=2 dispatch one shard per task, so "task 1 lost"
+        # means "shard 1 lost".
         path = tmp_path / "c.jsonl"
         res = loop_injector.run_campaign(
             trials=75, seed=5, jobs=2, checkpoint=path
@@ -296,6 +292,32 @@ class TestCampaignDegradation:
         assert not healed.partial
         assert healed.counts == full.counts
 
+    def test_lost_multi_shard_task_loses_every_shard(
+        self, loop_injector, monkeypatch, tmp_path
+    ):
+        full = loop_injector.run_campaign(trials=250, seed=5)
+        monkeypatch.setattr(
+            injector_mod, "parallel_map", self._lossy_parallel_map(1)
+        )
+        path = tmp_path / "c.jsonl"
+        # 10 shards at jobs=2: 5 tasks of 2 shards; task 1 carries 2 and 3.
+        res = loop_injector.run_campaign(
+            trials=250, seed=5, jobs=2, checkpoint=path
+        )
+        assert res.partial
+        assert res.lost_trials == 50
+        assert res.trials == 200
+        recorded = {json.loads(ln)["shard"]
+                    for ln in path.read_text().splitlines()[1:]}
+        assert recorded == set(range(10)) - {2, 3}
+        monkeypatch.setattr(injector_mod, "parallel_map", parallel_map)
+        healed = loop_injector.run_campaign(
+            trials=250, seed=5, checkpoint=path, resume=True
+        )
+        assert not healed.partial
+        assert healed.counts == full.counts
+        assert healed.total_faults_injected == full.total_faults_injected
+
     def test_empty_campaign_coverage_is_zero(self, loop_injector):
         """Regression: trials=0 used to report coverage 1.0."""
         res = loop_injector.run_campaign(trials=0, seed=1)
@@ -304,9 +326,9 @@ class TestCampaignDegradation:
         assert CampaignResult(trials=0).coverage == 0.0
 
     def test_all_shards_lost_yields_empty_partial(self, loop_injector, monkeypatch):
-        def lose_all(fn, tasks, jobs=1, initializer=None, initargs=(),
-                     on_result=None, retries=0, retry_backoff=0.0,
-                     timeout=None, on_failure=None, **kwargs):
+        def lose_all(fn, tasks, jobs=1, on_result=None, retries=0,
+                     retry_backoff=0.0, timeout=None, on_failure=None,
+                     **kwargs):
             for i in range(len(tasks)):
                 on_failure(i, RuntimeError("worker died"))
             return [None] * len(tasks)
@@ -385,26 +407,13 @@ class TestRetryJitter:
         monkeypatch.setattr(parallel_mod.time, "sleep", naps.append)
         out = parallel_map(
             _raise_on_three, [1, 2, 3, 4], jobs=2, retries=2,
-            retry_backoff=1.0, retry_jitter=0.25,
-            on_failure=lambda i, exc: None,
+            retry_backoff=1.0, on_failure=lambda i, exc: None,
         )
         assert out == [2, 4, None, 8]
         assert len(naps) == 2  # one nap per retry round
         for round_no, nap in enumerate(naps, start=1):
             base = 1.0 * 2 ** (round_no - 1)  # exponential backoff
             assert base <= nap <= base * 1.25
-
-    def test_zero_jitter_keeps_exact_backoff(self, monkeypatch):
-        import repro.parallel as parallel_mod
-
-        naps = []
-        monkeypatch.setattr(parallel_mod.time, "sleep", naps.append)
-        parallel_map(
-            _raise_on_three, [1, 2, 3, 4], jobs=2, retries=1,
-            retry_backoff=0.5, retry_jitter=0.0,
-            on_failure=lambda i, exc: None,
-        )
-        assert naps == [0.5]
 
 
 class TestChaosPoints:

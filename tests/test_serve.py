@@ -345,6 +345,53 @@ class TestJobDeadline:
             app.shutdown(requeue=True)
 
 
+class TestShutdownAtJobStart:
+    """A stop() that races a job's start must still requeue that job.
+
+    The daemon-level SIGTERM test can land its signal in the window between
+    the runner popping a job and publishing it as current; these pin the
+    window in-process, deterministically.
+    """
+
+    def _runner(self, tmp_path):
+        from repro.serve.runner import JobRunner
+
+        store = JobStore(tmp_path)
+        job = store.new_job("compile", {"program": WORKLOAD})
+        store.save(job)
+        return store, JobRunner(store, JobQueue(), jobs=1), job
+
+    def _assert_requeued(self, store, job):
+        record = store.load(job.id)
+        assert record.state is JobState.QUEUED
+        assert record.note == "daemon-shutdown"
+
+    def test_stop_during_running_save_requeues(self, tmp_path, monkeypatch):
+        store, runner, job = self._runner(tmp_path)
+        real_save = store.save
+
+        def save(j):
+            real_save(j)
+            if j.state is JobState.RUNNING:
+                runner.stop()
+
+        monkeypatch.setattr(store, "save", save)
+        runner.execute(job)
+        self._assert_requeued(store, job)
+
+    def test_job_popped_after_stop_is_requeued(self, tmp_path):
+        store, runner, job = self._runner(tmp_path)
+        runner.stop()
+        runner.execute(job)
+        self._assert_requeued(store, job)
+
+    def test_stop_without_requeue_lets_the_job_finish(self, tmp_path):
+        store, runner, job = self._runner(tmp_path)
+        runner.stop(requeue_current=False)
+        runner.execute(job)
+        assert store.load(job.id).state is JobState.DONE
+
+
 # -- HTTP surface --------------------------------------------------------------
 @pytest.fixture
 def http_client(tmp_path):

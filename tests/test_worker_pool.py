@@ -36,7 +36,8 @@ from repro.parallel import WorkerPool, current_pool, ensure_pool
 from repro.pipeline import Scheme, compile_program
 from repro.workloads import get_workload
 
-TRIALS = 100  # 4 shards of SHARD_TRIALS=25: both dispatch waves exercised
+# 10 shards, the last of 5 trials: jobs=2 dispatches 5 tasks of 2 shards.
+TRIALS = 230
 SEED = 2013
 
 
@@ -127,8 +128,10 @@ class TestPoolReuse:
         inj = _injector()
         with WorkerPool(2) as pool:
             inj.run_campaign(TRIALS, SEED, jobs=2)
+            # Two points: a one-point sweep runs inline, off the pool.
             Evaluator(seed=SEED, cache=True).sweep(
-                [("mcf", Scheme.CASTED, 2, 1)], trials=25, jobs=2
+                [("mcf", Scheme.CASTED, 2, 1), ("mcf", Scheme.SCED, 2, 1)],
+                trials=25, jobs=2,
             )
             assert pool.spawns == 1
             assert pool.reuses >= 1
