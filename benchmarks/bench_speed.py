@@ -26,7 +26,11 @@ uploads it from every run):
 * **sweep** — a multi-point (workload, scheme, issue-width, delay) grid
   through :meth:`Evaluator.sweep`, serial vs parallel, each from a cold
   cache in its own temp dir, asserting the resulting cache files are
-  identical.
+  identical;
+* **compile** — a cold ``compile_program`` of every workload under every
+  scheme (CASTED only with ``--quick``) at iw2/d2: total seconds, points/s
+  and each pass's self seconds from the ``compile.pass.*.seconds`` and
+  ``compile.verify.seconds`` telemetry timers.
 
 Run directly::
 
@@ -53,7 +57,9 @@ from pathlib import Path
 
 from repro.eval.experiment import Evaluator
 from repro.faults.injector import FaultInjector
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, paper_machine
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry, set_telemetry
 from repro.parallel import (
     SHARD_TRIALS,
     WorkerPool,
@@ -62,7 +68,7 @@ from repro.parallel import (
 )
 from repro.pipeline import Scheme, compile_program
 from repro.sim.executor import VLIWExecutor
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 #: Throughput floor for the (compiled) executor hot loop — observed ~4M
 #: insn/s on a 2026 container core; generous headroom keeps this assertion
@@ -306,6 +312,47 @@ def bench_sweep(points: list[tuple], trials: int, jobs: int, seed: int = 2013) -
     }
 
 
+def bench_compile(schemes: list[Scheme]) -> dict:
+    """Cold compiles of every workload under ``schemes`` at iw2/d2, per pass."""
+    programs = [get_workload(w).program for w in workload_names()]
+    machine = paper_machine(issue_width=2, delay=2)
+    registry = MetricsRegistry()
+    previous = set_telemetry(Telemetry(metrics=registry))
+    try:
+        t0 = time.perf_counter()
+        for program in programs:
+            for scheme in schemes:
+                compile_program(program, scheme, machine)
+        seconds = time.perf_counter() - t0
+    finally:
+        set_telemetry(previous)
+    # Pass timers never nest, so each total is that pass's self time.
+    prefix, suffix = "compile.pass.", ".seconds"
+    pass_seconds = {
+        name[len(prefix):-len(suffix)]: round(hist.total, 3)
+        for name, hist in sorted(registry.histograms.items())
+        if name.startswith(prefix) and name.endswith(suffix)
+    }
+    pass_seconds["verify"] = round(
+        registry.histograms["compile.verify.seconds"].total, 3
+    )
+    points = len(programs) * len(schemes)
+    top = sorted(pass_seconds.items(), key=lambda kv: -kv[1])[:5]
+    print(
+        f"compile: {points} points at iw2/d2  {seconds:.2f}s  "
+        f"({points / seconds:.1f} points/s)  top passes: "
+        + ", ".join(f"{name} {secs:.2f}s" for name, secs in top)
+    )
+    return {
+        "points": points,
+        "schemes": [s.value for s in schemes],
+        "machine": "iw2/d2",
+        "seconds": round(seconds, 3),
+        "points_per_s": round(points / seconds, 2),
+        "pass_seconds": pass_seconds,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -318,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke mode: tiny trial count and a 2-point grid",
+        help="CI smoke mode: tiny trial count, a 2-point grid and CASTED-only "
+        "compiles",
     )
     parser.add_argument(
         "--assert-speedup", type=float, default=None, metavar="X",
@@ -382,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         "executor": bench_executor(),
         "campaign": bench_campaign(trials, jobs),
         "sweep": bench_sweep(points, sweep_trials, jobs),
+        "compile": bench_compile(
+            [Scheme.CASTED] if args.quick else list(Scheme)
+        ),
     }
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -21,8 +21,9 @@ cohort.  Ratio checks are hardware-independent and always apply:
 * under the same conditions, the pool-warm cohort's parallel efficiency
   (``pool_efficiency``: speedup over the serial campaign normalized by
   min(jobs, cores)) must stay >= ``MIN_POOL_EFFICIENCY``;
-* within the cohort, serial campaign trials/s and executor insn/s must not
-  drop more than ``MAX_DROP_FRAC`` below the cohort median.
+* within the cohort, serial campaign trials/s, executor insn/s and cold
+  compile points/s must not drop more than ``MAX_DROP_FRAC`` below the
+  cohort median.
 
 History rows written while campaigns had a separate batched engine carry
 ``*_batched`` fields; for those rows the batched serial throughput is the
@@ -81,6 +82,7 @@ def entry_from_report(report: dict) -> dict:
     campaign = report.get("campaign", {})
     executor = report.get("executor", {})
     sweep = report.get("sweep", {})
+    compile_ = report.get("compile", {})
     return {
         "recorded_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "git_rev": git_revision(),
@@ -102,6 +104,8 @@ def entry_from_report(report: dict) -> dict:
         "speedup_warm": campaign.get("speedup_warm"),
         "pool_efficiency": campaign.get("pool_efficiency"),
         "speedup_sweep": sweep.get("speedup"),
+        # Absent in reports predating the compile section.
+        "compile_points_per_s": compile_.get("points_per_s"),
     }
 
 
@@ -189,6 +193,7 @@ def check(candidate: dict, history: list[dict]) -> list[str]:
     for key, label in (
         ("trials_per_s_serial", "serial campaign trials/s"),
         ("insn_per_s", "executor insn/s"),
+        ("compile_points_per_s", "compile points/s"),
     ):
         got = candidate.get(key)
         refs = [
@@ -242,7 +247,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"serial {_history_value(e, 'trials_per_s_serial') or '?'}/s  "
                 f"pool {e.get('speedup_pool', '?')}x  "
                 f"warm-eff {e.get('pool_efficiency', '?')}  "
-                f"vs-baseline {e.get('speedup_vs_baseline', '?')}x"
+                f"vs-baseline {e.get('speedup_vs_baseline', '?')}x  "
+                f"compile {e.get('compile_points_per_s') or '?'}/s"
             )
         print(f"{len(history)} entries in {history_path}")
         return 0

@@ -9,8 +9,10 @@ machinery out once:
 * an analysis declares its *direction*, its *meet* (union for may-problems,
   intersection for must-problems), its *boundary* fact, and a per-instruction
   *transfer* function over immutable ``frozenset`` facts;
-* :func:`solve` iterates the block-level equations to a fixed point in
-  (reverse) postorder and returns per-block entry/exit facts;
+* :func:`solve` runs the block-level equations to a fixed point with a
+  worklist in (reverse) postorder and returns per-block entry/exit facts
+  (hot analyses override :meth:`DataflowAnalysis.transfer_block` to walk a
+  block with one mutable set instead of one frozenset per instruction);
 * :meth:`BlockFacts.instruction_facts` replays the transfer function inside a
   block, yielding the fact holding immediately *before* each instruction —
   the granularity use-site queries (verifier, linter) need.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import heapq
 from typing import Any, Iterator
 
 from repro.ir.basic_block import BasicBlock
@@ -154,6 +157,12 @@ def solve(
 ) -> BlockFacts:
     """Iterate ``analysis`` over ``function`` to a fixed point.
 
+    A worklist ordered by (reverse) postorder position: every reachable
+    block is transferred once, then again only when the meet of its
+    incoming facts changed.  For the monotone analyses here this is the
+    same fixed point round-robin sweeps reach, without the final sweep
+    that only confirms nothing moved.
+
     Unreachable blocks keep their optimistic initial fact: no execution
     reaches them, so any answer is sound, and the clients that care
     (the verifier) reject unreachable code separately.
@@ -170,30 +179,45 @@ def solve(
     state: dict[str, Fact] = {b.label: top for b in function.blocks()}
     out_state: dict[str, Fact] = {b.label: top for b in function.blocks()}
 
-    reachable = set(order)
-    boundary_labels = (
-        {cfg.entry_label}
-        if forward
-        else {lb for lb in order if not [s for s in cfg.succs[lb] if s in reachable]}
-    )
+    position = {label: i for i, label in enumerate(order)}
+    # sources[i]: where block i's input comes from; sinks[i]: the blocks
+    # whose input block i's output feeds.  Reachable blocks only.
+    sources: list[list[str]] = []
+    sinks: list[list[int]] = []
+    for label in order:
+        preds = [p for p in cfg.preds[label] if p in position]
+        succs = [s for s in cfg.succs[label] if s in position]
+        sources.append(preds if forward else succs)
+        sinks.append([position[x] for x in (succs if forward else preds)])
+    # The boundary fact enters at the entry (forward) or at every block
+    # with no reachable successor (backward).
+    is_boundary = [
+        label == cfg.entry_label if forward else not sources[i]
+        for i, label in enumerate(order)
+    ]
 
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            if forward:
-                edges = [p for p in cfg.preds[label] if p in reachable]
-            else:
-                edges = [s for s in cfg.succs[label] if s in reachable]
-            incoming = [out_state[e] for e in edges]
-            if label in boundary_labels:
-                incoming.append(boundary)
-            fact = analysis.meet(incoming) if incoming else top
-            new_out = analysis.transfer_block(function.block(label), fact)
-            if fact != state[label] or new_out != out_state[label]:
-                state[label] = fact
-                out_state[label] = new_out
-                changed = True
+    worklist = list(range(len(order)))  # sorted, hence already a heap
+    queued = [True] * len(order)
+    transferred = [False] * len(order)
+    while worklist:
+        i = heapq.heappop(worklist)
+        queued[i] = False
+        label = order[i]
+        incoming = [out_state[e] for e in sources[i]]
+        if is_boundary[i]:
+            incoming.append(boundary)
+        fact = analysis.meet(incoming) if incoming else top
+        if transferred[i] and fact == state[label]:
+            continue
+        transferred[i] = True
+        state[label] = fact
+        new_out = analysis.transfer_block(function.block(label), fact)
+        if new_out != out_state[label]:
+            out_state[label] = new_out
+            for j in sinks[i]:
+                if not queued[j]:
+                    queued[j] = True
+                    heapq.heappush(worklist, j)
 
     if forward:
         entry, exit_ = state, out_state
@@ -255,6 +279,12 @@ class MustDefined(DataflowAnalysis):
         writes = insn.writes()
         return fact | frozenset(writes) if writes else fact
 
+    def transfer_block(self, block: BasicBlock, fact: Fact) -> Fact:
+        defined = set(fact)
+        for insn in block.instructions:
+            defined.update(insn.writes())
+        return frozenset(defined)
+
 
 class ReachingDefs(_UnionMeet):
     """Which definition sites ``(reg, uid)`` may reach each point.
@@ -284,6 +314,13 @@ class LiveVars(_UnionMeet):
         fact = fact - frozenset(insn.writes())
         reads = insn.reads()
         return fact | frozenset(reads) if reads else fact
+
+    def transfer_block(self, block: BasicBlock, fact: Fact) -> Fact:
+        live = set(fact)
+        for insn in reversed(block.instructions):
+            live.difference_update(insn.writes())
+            live.update(insn.reads())
+        return frozenset(live)
 
 
 #: A use site: (block label, instruction index, instruction uid, register).
@@ -320,8 +357,11 @@ def undefined_uses(
     for block in function.blocks():
         if block.label not in reachable:
             continue
-        for idx, insn, fact in facts.instruction_facts(block.label):
+        # MustDefined's transfer, replayed on one mutable set.
+        defined = set(facts.entry[block.label])
+        for idx, insn in enumerate(block.instructions):
             for r in insn.reads():
-                if r not in fact:
+                if r not in defined:
                     bad.append((block.label, idx, insn, r))
+            defined.update(insn.writes())
     return bad

@@ -28,13 +28,22 @@ class CFG:
             self.succs[block.label] = targets
             for t in targets:
                 self.preds[t].append(block.label)
+        self._rpo: list[str] | None = None
 
     @property
     def entry_label(self) -> str:
         return self.function.entry.label
 
     def reverse_postorder(self) -> list[str]:
-        """Reverse postorder from the entry (unreachable blocks excluded)."""
+        """Reverse postorder from the entry (unreachable blocks excluded).
+
+        Computed once per CFG (the edges are a snapshot); callers get a copy.
+        """
+        if self._rpo is None:
+            self._rpo = self._compute_reverse_postorder()
+        return list(self._rpo)
+
+    def _compute_reverse_postorder(self) -> list[str]:
         visited: set[str] = set()
         postorder: list[str] = []
         # Iterative DFS to avoid recursion limits on long chains.
@@ -83,7 +92,12 @@ class CFG:
         return dom
 
     def natural_loops(self) -> list[tuple[str, frozenset[str]]]:
-        """(header, body-blocks) for every back edge; bodies include header."""
+        """(header, body-blocks) for every back edge; bodies include header.
+
+        For a back edge (u, v) the body is v plus every block that reaches u
+        without passing through v (v dominates u in reducible CFGs, so every
+        entry into the loop passes through it).
+        """
         loops: list[tuple[str, frozenset[str]]] = []
         for u, v in sorted(self.back_edges()):
             members = {v}
@@ -103,27 +117,12 @@ class CFG:
     def loop_depths(self) -> dict[str, int]:
         """Number of natural loops each block belongs to (0 = straight-line).
 
-        For every back edge (u, v), the natural loop body is v plus all
-        blocks that reach u without passing through v.  Exact for the
-        reducible CFGs our front end emits.
+        One loop per back edge, as :meth:`natural_loops` finds them.  Exact
+        for the reducible CFGs our front end emits.
         """
         depths = {b.label: 0 for b in self.function.blocks()}
-        for u, v in self.back_edges():
-            # Standard natural-loop body: walk predecessors backward from u,
-            # stopping at the header v (v dominates u in reducible CFGs, so
-            # every entry into the loop passes through it).
-            members = {v}
-            stack = []
-            if u != v:
-                members.add(u)
-                stack.append(u)
-            while stack:
-                node = stack.pop()
-                for p in self.preds[node]:
-                    if p not in members:
-                        members.add(p)
-                        stack.append(p)
-            for label in members:
+        for _, body in self.natural_loops():
+            for label in body:
                 depths[label] += 1
         return depths
 

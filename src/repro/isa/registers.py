@@ -8,12 +8,18 @@ cluster's register file (the paper's Table I: 64 GP + 32 PR per cluster; the
 A register is identified by ``(rclass, index, virtual)``.  Physical registers
 additionally carry the cluster that owns them.  ``Reg`` is immutable and
 hashable so it can key renaming tables (the paper's Fig. 4 data structures).
+
+Registers are hashed millions of times per compile (every dataflow fact is a
+set of them), so each ``Reg`` packs its four fields into one integer key at
+construction; hashing returns it and equality compares it.  The key is a
+plain ``int``, so hashes and set iteration order do not depend on
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class RegClass(enum.Enum):
@@ -24,6 +30,11 @@ class RegClass(enum.Enum):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RegClass.{self.name}"
+
+
+#: Bits of the packed key holding ``cluster + 1`` (clusters -1..62).
+_CLUSTER_BITS = 6
+_MAX_CLUSTER = (1 << _CLUSTER_BITS) - 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +58,7 @@ class Reg:
     index: int
     virtual: bool = True
     cluster: int = -1
+    _key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -55,6 +67,34 @@ class Reg:
             raise ValueError("physical register requires a cluster")
         if self.virtual and self.cluster >= 0:
             raise ValueError("virtual register must not carry a cluster")
+        if not -1 <= self.cluster <= _MAX_CLUSTER:
+            raise ValueError(
+                f"register cluster {self.cluster} outside -1..{_MAX_CLUSTER}"
+            )
+        if self.rclass is RegClass.GP:
+            code = 0
+        elif self.rclass is RegClass.PR:
+            code = 1
+        else:
+            raise ValueError(f"unknown register class {self.rclass!r}")
+        # index | cluster + 1 | virtual | class: injective because every
+        # field but the unbounded index has a fixed width.
+        key = (self.index << _CLUSTER_BITS | (self.cluster + 1)) << 2
+        object.__setattr__(self, "_key", key | (2 if self.virtual else 0) | code)
+
+    def __hash__(self) -> int:
+        return self._key
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Reg):
+            return NotImplemented
+        return self._key == other._key
+
+    def __reduce__(self) -> tuple[type[Reg], tuple[RegClass, int, bool, int]]:
+        # Rebuild through __init__ so the key is recomputed, not shipped.
+        return (Reg, (self.rclass, self.index, self.virtual, self.cluster))
 
     @property
     def is_gp(self) -> bool:

@@ -21,6 +21,8 @@ preheader) are skipped; the minic code generator always produces one.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.ir.cfg import CFG
 from repro.ir.liveness import compute_liveness
 from repro.ir.program import Program
@@ -54,48 +56,38 @@ class LoopInvariantCodeMotion(FunctionPass):
 
         live = compute_liveness(function, cfg)
 
-        # Uses/defs of every register across the whole function, by block.
-        defs_in_block: dict[str, dict[Reg, int]] = {}
-        uses_in_block: dict[str, dict[Reg, int]] = {}
-        for block in function.blocks():
-            d: dict[Reg, int] = {}
-            u: dict[Reg, int] = {}
-            for insn in block.instructions:
-                for r in insn.writes():
-                    d[r] = d.get(r, 0) + 1
-                for r in insn.reads():
-                    u[r] = u.get(r, 0) + 1
-            defs_in_block[block.label] = d
-            uses_in_block[block.label] = u
+        # Uses of every register across the whole function.  Hoisting moves
+        # instructions without adding or removing any, so this never changes.
+        uses: Counter[Reg] = Counter()
+        for _, _, insn in function.all_instructions():
+            uses.update(insn.reads())
 
         hoisted_total = 0
         # Inner loops first (smaller bodies), so invariants escape outward
         # across several LICM iterations of the surrounding pipeline.
         for header, body in sorted(loops, key=lambda hv: len(hv[1])):
             hoisted_total += self._process_loop(
-                function, cfg, live, defs_in_block, uses_in_block, header, body
+                function, cfg, live, uses, header, body
             )
 
         ctx.record(self.name, hoisted=hoisted_total)
         return hoisted_total > 0
 
-    def _process_loop(
-        self, function, cfg, live, defs_in_block, uses_in_block, header, body
-    ) -> int:
+    def _process_loop(self, function, cfg, live, uses, header, body) -> int:
         outside_preds = [p for p in cfg.preds[header] if p not in body]
         if len(outside_preds) != 1:
             return 0
         preheader = function.block(outside_preds[0])
 
-        def defs_in_loop(reg: Reg) -> int:
-            return sum(defs_in_block[lb].get(reg, 0) for lb in body)
-
-        def uses_outside_loop(reg: Reg) -> int:
-            return sum(
-                uses_in_block[lb].get(reg, 0)
-                for lb in uses_in_block
-                if lb not in body
-            )
+        # Defs and uses inside the loop, counted once from its current
+        # blocks (which already hold what inner loops hoisted) and kept
+        # exact on every hoist; outside uses are the rest of ``uses``.
+        loop_defs: Counter[Reg] = Counter()
+        loop_uses: Counter[Reg] = Counter()
+        for label in body:
+            for insn in function.block(label).instructions:
+                loop_defs.update(insn.writes())
+                loop_uses.update(insn.reads())
 
         live_into_header = live.live_in[header]
         hoisted_regs: set[Reg] = set()
@@ -109,8 +101,9 @@ class LoopInvariantCodeMotion(FunctionPass):
                 for insn in block.instructions:
                     if self._can_hoist(
                         insn,
-                        defs_in_loop,
-                        uses_outside_loop,
+                        loop_defs,
+                        loop_uses,
+                        uses,
                         hoisted_regs,
                         live_into_header,
                     ):
@@ -119,14 +112,9 @@ class LoopInvariantCodeMotion(FunctionPass):
                             len(preheader.instructions) - 1, insn
                         )
                         hoisted_regs.add(insn.dest)
-                        # keep the global maps exact for enclosing loops
-                        defs_in_block[label][insn.dest] -= 1
-                        ph = defs_in_block[preheader.label]
-                        ph[insn.dest] = ph.get(insn.dest, 0) + 1
-                        phu = uses_in_block[preheader.label]
-                        for r in insn.reads():
-                            uses_in_block[label][r] -= 1
-                            phu[r] = phu.get(r, 0) + 1
+                        # the def leaves the loop; its reads move outside
+                        loop_defs[insn.dest] -= 1
+                        loop_uses.subtract(insn.reads())
                         hoisted += 1
                         changed = True
                     else:
@@ -135,7 +123,7 @@ class LoopInvariantCodeMotion(FunctionPass):
         return hoisted
 
     def _can_hoist(
-        self, insn, defs_in_loop, uses_outside_loop, hoisted_regs, live_into_header
+        self, insn, loop_defs, loop_uses, uses, hoisted_regs, live_into_header
     ) -> bool:
         if insn.role is not Role.ORIG or insn.opcode not in _HOISTABLE:
             return False
@@ -144,13 +132,13 @@ class LoopInvariantCodeMotion(FunctionPass):
         dest = insn.dest
         if dest in live_into_header:
             return False  # loop-carried
-        if defs_in_loop(dest) != 1:
+        if loop_defs.get(dest, 0) != 1:
             return False
-        if uses_outside_loop(dest) != 0:
-            return False
+        if uses.get(dest, 0) != loop_uses.get(dest, 0):
+            return False  # used outside the loop
         for r in insn.reads():
             if r in hoisted_regs:
                 continue
-            if defs_in_loop(r) != 0:
+            if loop_defs.get(r, 0) != 0:
                 return False
         return True

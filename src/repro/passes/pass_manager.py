@@ -12,8 +12,11 @@ from repro.passes.base import FunctionPass, PassContext
 class PassManager:
     """Runs passes in order; verifies the IR after each one when asked.
 
-    Verification after every pass is cheap at our program sizes and catches
-    pass bugs at their source, so it defaults to on.
+    Verification after every pass catches pass bugs at their source, so it
+    defaults to on.  It is not free: on the fig 6/7 grid it took about 31%
+    of compile time (20% of a grid point) before the dataflow solver became
+    a worklist with block-level transfers, and about 29% (16%) after.
+    Pass ``verify=False`` where the pipeline is trusted and time matters.
 
     When telemetry is enabled (see :mod:`repro.obs`), every pass emits a
     ``pass:<name>`` span carrying its wall time, instruction/block deltas,

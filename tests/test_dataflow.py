@@ -1,6 +1,10 @@
 """The generic dataflow framework: solver, canned analyses, chains."""
 
+import pytest
+
 from repro.analysis.dataflow import (
+    DataflowAnalysis,
+    Direction,
     LiveVars,
     MustDefined,
     ReachingDefs,
@@ -8,8 +12,14 @@ from repro.analysis.dataflow import (
     solve,
     undefined_uses,
 )
+from repro.analysis.protection import AvailableChecks, build_sphere_model
+from repro.analysis.taint import MEM, TaintAnalysis, find_detectors
 from repro.ir.builder import IRBuilder
+from repro.ir.cfg import CFG
 from repro.ir.liveness import compute_liveness
+from repro.machine.config import MachineConfig
+from repro.pipeline import Scheme, compile_program
+from repro.workloads import get_workload, workload_names
 
 
 def diamond_program():
@@ -129,3 +139,109 @@ class TestSolverEdgeCases:
         b.halt(0)
         facts = solve(b.function, ReachingDefs())
         assert any(d[0] == v for d in facts.exit["entry"])
+
+
+def reference_solve(function, analysis):
+    """Round-robin sweeps in (reverse) postorder until nothing changes.
+
+    The solver's original algorithm, kept as the oracle the worklist
+    solver must agree with.  Returns ``(entry, exit)`` in program order.
+    """
+    cfg = CFG(function)
+    order = cfg.reverse_postorder()
+    forward = analysis.direction is Direction.FORWARD
+    if not forward:
+        order = order[::-1]
+    boundary = analysis.boundary(function)
+    top = analysis.initial(function)
+    state = {b.label: top for b in function.blocks()}
+    out_state = {b.label: top for b in function.blocks()}
+    reachable = set(order)
+    boundary_labels = (
+        {cfg.entry_label}
+        if forward
+        else {lb for lb in order if not [s for s in cfg.succs[lb] if s in reachable]}
+    )
+    changed = True
+    while changed:
+        changed = False
+        for label in order:
+            edges = cfg.preds[label] if forward else cfg.succs[label]
+            incoming = [out_state[e] for e in edges if e in reachable]
+            if label in boundary_labels:
+                incoming.append(boundary)
+            fact = analysis.meet(incoming) if incoming else top
+            new_out = DataflowAnalysis.transfer_block(
+                analysis, function.block(label), fact
+            )
+            if fact != state[label] or new_out != out_state[label]:
+                state[label] = fact
+                out_state[label] = new_out
+                changed = True
+    return (state, out_state) if forward else (out_state, state)
+
+
+def _stages():
+    machine = MachineConfig(issue_width=2, inter_cluster_delay=1)
+    for name in workload_names():
+        program = get_workload(name).program
+        yield f"{name}-frontend", program.main
+        cp = compile_program(
+            program, Scheme.CASTED, machine, capture_pre_regalloc=True
+        )
+        yield f"{name}-casted", cp.pre_regalloc.main
+
+
+@pytest.fixture(scope="module")
+def stages():
+    return dict(_stages())
+
+
+def _analyses(function):
+    yield MustDefined(function)
+    yield LiveVars()
+    yield ReachingDefs()
+    yield AvailableChecks(build_sphere_model(function))
+    detectors = find_detectors(function)
+    insns = [i for _, _, i in function.all_instructions() if i.dests]
+    for insn in insns[:: max(1, len(insns) // 4)]:
+        yield TaintAnalysis(detectors, seed_uid=insn.uid)
+    yield TaintAnalysis(detectors, entry_taint=frozenset((MEM,)))
+
+
+class TestWorklistMatchesRoundRobin:
+    @pytest.mark.parametrize(
+        "stage", [f"{w}-{s}" for w in workload_names() for s in ("frontend", "casted")]
+    )
+    def test_same_fixed_point(self, stages, stage):
+        function = stages[stage]
+        for analysis in _analyses(function):
+            entry, exit_ = reference_solve(function, analysis)
+            facts = solve(function, analysis)
+            assert facts.entry == entry, type(analysis).__name__
+            assert facts.exit == exit_, type(analysis).__name__
+
+    def test_undefined_uses_match_instruction_replay(self, stages):
+        for function in stages.values():
+            facts = solve(function, MustDefined(function))
+            reachable = CFG(function).reachable()
+            expected = [
+                (block.label, idx, insn, r)
+                for block in function.blocks()
+                if block.label in reachable
+                for idx, insn, fact in facts.instruction_facts(block.label)
+                for r in insn.reads()
+                if r not in fact
+            ]
+            assert undefined_uses(function) == expected
+
+    @pytest.mark.parametrize("make", [MustDefined, lambda f: LiveVars()])
+    def test_block_transfer_is_insn_composition(self, stages, make):
+        for function in stages.values():
+            analysis = make(function)
+            facts = solve(function, analysis)
+            for block in function.blocks():
+                for fact in (facts.entry[block.label], facts.exit[block.label]):
+                    assert analysis.transfer_block(block, fact) == (
+                        DataflowAnalysis.transfer_block(analysis, block, fact)
+                    )

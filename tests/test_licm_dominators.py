@@ -203,3 +203,69 @@ class TestLICM:
             r = Interpreter(prog).run()
             assert r.output == golden.output, name
             assert r.dyn_instructions <= golden.dyn_instructions, name
+
+    def test_chain_rehoisted_through_three_loop_levels(self):
+        """One pass run moves an inner-loop chain out of all three loops.
+
+        The middle and outer loops only see the chain after the inner loop
+        moved it into their bodies, so their def/use counts must reflect
+        hoists made earlier in the same run.
+        """
+        b = IRBuilder("main")
+        f = b.function
+        b.add_and_enter("entry")
+        i, j, k, acc = f.new_gp(), f.new_gp(), f.new_gp(), f.new_gp()
+        b.movi_to(i, 0)
+        b.movi_to(acc, 0)
+        b.jmp("outer")
+        b.add_and_enter("outer")
+        b.movi_to(j, 0)
+        b.jmp("mid")
+        b.add_and_enter("mid")
+        b.movi_to(k, 0)
+        b.jmp("inner")
+        b.add_and_enter("inner")
+        c = b.mul(b.movi(5), b.movi(9))   # invariant to all three loops
+        acc2 = b.add(acc, c)
+        b.mov_to(acc, acc2)
+        k2 = b.add(k, 1)
+        b.mov_to(k, k2)
+        b.brt(b.cmplt(k, 2), "inner", "midlatch")
+        b.add_and_enter("midlatch")
+        j2 = b.add(j, 1)
+        b.mov_to(j, j2)
+        b.brt(b.cmplt(j, 3), "mid", "outerlatch")
+        b.add_and_enter("outerlatch")
+        i2 = b.add(i, 1)
+        b.mov_to(i, i2)
+        b.brt(b.cmplt(i, 4), "outer", "exit")
+        b.add_and_enter("exit")
+        b.out(acc)
+        b.halt(0)
+        prog = Program(f)
+        golden = Interpreter(prog).run()
+        hoisted = self.run_licm(prog)
+        assert hoisted == 9  # the movi/movi/mul chain, once per loop level
+        for label in ("inner", "mid", "outer"):
+            assert count_in_block(prog, label, Opcode.MUL) == 0
+        assert count_in_block(prog, "entry", Opcode.MUL) == 1
+        r = Interpreter(prog).run()
+        assert r.output == golden.output == (4 * 3 * 2 * 45,)
+
+    def test_workload_hoist_counts_pinned(self):
+        """Per-workload hoists under NOED, in ``workload_names()`` order.
+
+        Independent of ``PYTHONHASHSEED``; any change to which instructions
+        LICM moves shows up here.
+        """
+        from repro.machine.config import MachineConfig
+        from repro.pipeline import Scheme, compile_program
+        from repro.workloads import get_workload, workload_names
+
+        counts = [
+            compile_program(
+                get_workload(name).program, Scheme.NOED, MachineConfig()
+            ).pass_stats["licm"]["hoisted"]
+            for name in workload_names()
+        ]
+        assert counts == [35, 43, 50, 5, 47, 14, 26]
