@@ -48,8 +48,10 @@ cold cache and a controlled process layout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -74,6 +76,20 @@ from repro.workloads import get_workload, workload_names
 #: insn/s on a 2026 container core; generous headroom keeps this assertion
 #: quick, not flaky.
 MIN_EXECUTOR_INSN_PER_S = 250_000
+
+
+def host_fingerprint() -> str:
+    """Short hash of the host facts that make absolute timings comparable.
+
+    Built from the same inputs, in the same order, as the
+    ``host_fingerprint`` in ``perfbench/run.py``'s provenance, so a bench
+    report and a perfbench record from one host carry the same value.
+    """
+    uname = os.uname()
+    phys_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    host = [uname.sysname, uname.release, uname.machine, os.cpu_count(),
+            effective_cores(), phys_bytes, platform.python_version()]
+    return hashlib.sha256(json.dumps(host).encode()).hexdigest()[:16]
 
 
 def _time(fn):
@@ -427,6 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         "effective_cores": cores,
         "parallel_meaningful": parallel_meaningful,
         "python": sys.version.split()[0],
+        "host_fingerprint": host_fingerprint(),
         "executor": bench_executor(),
         "campaign": bench_campaign(trials, jobs),
         "sweep": bench_sweep(points, sweep_trials, jobs),

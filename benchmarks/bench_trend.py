@@ -7,10 +7,13 @@ trajectory travels with the repo); ``--check`` gates a candidate report
 against that history and exits non-zero on a regression.
 
 Wall-clock numbers are only comparable on comparable hardware, so every
-entry is tagged with a *cohort* key — ``<system>-<machine>-<cores>c`` plus
-the ``--quick`` flag — and absolute throughput checks (trials/s,
+entry is tagged with a *cohort* key — ``<system>-<machine>-<cores>c-<host>``
+plus the ``--quick`` flag — and absolute throughput checks (trials/s,
 executor insn/s) compare the candidate only against entries from the same
-cohort.  Ratio checks are hardware-independent and always apply:
+cohort.  ``<host>`` is the report's ``host_fingerprint`` (bench_speed.py
+hashes the same host facts as perfbench's provenance: kernel, CPU counts,
+memory, Python version); entries recorded before reports carried one form
+the ``legacy`` cohort and are never compared with fingerprinted ones.  Ratio checks are hardware-independent and always apply:
 
 * ``speedup_vs_baseline`` (the default campaign path — compiled +
   snapshots — over the interp/replay baseline) must stay >=
@@ -74,7 +77,11 @@ MAX_DROP_FRAC = 0.15
 
 def cohort_tag(entry: dict) -> str:
     """Hardware-comparability key: same tag => absolute numbers comparable."""
-    return f"{entry.get('system', '?')}-{entry.get('machine', '?')}-{entry.get('effective_cores', '?')}c"
+    host = entry.get("host_fingerprint") or "legacy"
+    return (
+        f"{entry.get('system', '?')}-{entry.get('machine', '?')}-"
+        f"{entry.get('effective_cores', '?')}c-{host}"
+    )
 
 
 def entry_from_report(report: dict) -> dict:
@@ -92,6 +99,8 @@ def entry_from_report(report: dict) -> dict:
         "quick": bool(report.get("quick", False)),
         "jobs": report.get("jobs"),
         "effective_cores": report.get("effective_cores", effective_cores()),
+        # Absent in reports predating host fingerprints (legacy cohort).
+        "host_fingerprint": report.get("host_fingerprint"),
         # Reports predating the flag never verified core availability.
         "parallel_meaningful": bool(report.get("parallel_meaningful", False)),
         "insn_per_s": executor.get("insn_per_s"),

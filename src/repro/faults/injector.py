@@ -341,6 +341,9 @@ class FaultInjector:
                     program, mem_words=mem_words, frame_words=frame_words,
                     backend=backend,
                 )
+                # Fuse the blocks here, so the span covers the decode cost
+                # rather than the worker's first trial.
+                self.interp._fused  # noqa: B018
                 self.golden: RunResult = profile.golden
                 if not self.golden.block_trace:
                     raise SimError("shipped golden profile carries no trace")
@@ -352,7 +355,7 @@ class FaultInjector:
                 )
         else:
             # The profile span covers program decode (the compiled backend's
-            # superblock generation happens in the interpreter constructor)
+            # superblock generation happens on the golden run's first use)
             # plus the golden run — in a pool worker this is the per-worker
             # cost the worker cache exists to amortize away.
             with tel.span(

@@ -59,6 +59,9 @@ class DFG:
         self.edges: list[Edge] = []
         self.succs: list[list[Edge]] = [[] for _ in range(n)]
         self.preds: list[list[Edge]] = [[] for _ in range(n)]
+        #: Per instruction, its reads of values defined before the block
+        #: (no earlier in-block definition), repeats kept, in operand order.
+        self.cross_reads: list[tuple[Reg, ...]] = []
         self._build()
 
     def _add(self, src: int, dst: int, kind: DepKind, reg: Reg | None = None) -> None:
@@ -84,6 +87,9 @@ class DFG:
         for i, insn in enumerate(insns):
             info = insn.info
             # Register dependences.
+            self.cross_reads.append(
+                tuple(r for r in insn.reads() if r not in last_def)
+            )
             for r in insn.reads():
                 if r in last_def:
                     self._add(last_def[r], i, DepKind.DATA, r)

@@ -476,13 +476,23 @@ class Interpreter:
             self._blocks[block.label] = cb
 
         self.backend = resolve_backend(backend)
-        self._fused: dict[str, Callable[[], object]] | None = None
-        if self.backend == "compiled":
+        self._fused_blocks: dict[str, Callable[[], object]] | None = None
+
+    @property
+    def _fused(self) -> dict[str, Callable[[], object]] | None:
+        """Fused per-block callables (compiled backend), built on first use.
+
+        A :class:`~repro.sim.executor.VLIWExecutor`'s timed loop never runs
+        its embedded interpreter's blocks, so an executor that is only
+        timed never pays for fusing them.
+        """
+        if self._fused_blocks is None and self.backend == "compiled":
             # Imported lazily: repro.sim.compiled imports helpers from this
             # module, so a top-level import would be circular.
             from repro.sim.compiled import fuse_functional_blocks
 
-            self._fused = fuse_functional_blocks(self)
+            self._fused_blocks = fuse_functional_blocks(self)
+        return self._fused_blocks
 
     # -- closure construction ---------------------------------------------------
     def _make_closure(self, insn) -> Callable[[], object]:

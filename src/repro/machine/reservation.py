@@ -1,8 +1,8 @@
 """Issue-slot reservation table.
 
-Shared by the BUG assignment pass (Algorithm 2 reserves the slot it picked)
-and by the list scheduler.  A cell counts how many of a cluster's issue slots
-are taken in a given cycle; the table grows on demand.
+Used by the BUG assignment pass (Algorithm 2 reserves the slot it picked).
+A cell counts how many of a cluster's issue slots are taken in a given
+cycle; the table grows on demand.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class ReservationTable:
     def used(self, cycle: int, cluster: int) -> int:
         return self._used.get((cycle, cluster), 0)
 
-    def has_free_slot(self, cycle: int, cluster: int) -> bool:
-        self._check(cycle, cluster)
-        return self.used(cycle, cluster) < self.issue_width
-
     def free_slots(self, cycle: int, cluster: int) -> int:
         self._check(cycle, cluster)
         return self.issue_width - self.used(cycle, cluster)
@@ -34,7 +30,9 @@ class ReservationTable:
     def first_free_cycle(self, cluster: int, from_cycle: int) -> int:
         """Earliest cycle >= ``from_cycle`` with a free slot on ``cluster``."""
         cycle = max(0, from_cycle)
-        while not self.has_free_slot(cycle, cluster):
+        self._check(cycle, cluster)
+        used = self._used
+        while used.get((cycle, cluster), 0) >= self.issue_width:
             cycle += 1
         return cycle
 

@@ -9,8 +9,9 @@ the instruction is greedily assigned to the cluster where it completes
 earliest.  The chosen (cycle, cluster) slot is then reserved.
 
 The estimate uses the *same* edge pricing as the final list scheduler
-(:mod:`repro.passes.latency`), so greedy decisions are made against the cost
-model the schedule will actually obey.
+(:mod:`repro.passes.latency`, read from the block's :class:`DepTable`), so
+greedy decisions are made against the cost model the schedule will
+actually obey.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ import heapq
 from dataclasses import dataclass
 
 from repro.ir.basic_block import BasicBlock
-from repro.ir.dfg import DFG, DepKind
 from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
 from repro.machine.reservation import ReservationTable
 from repro.obs import get_telemetry
-from repro.passes.latency import edge_issue_latency, same_cluster_edge_latency
+from repro.passes.latency import DepTable
 
 
 @dataclass
@@ -41,6 +41,7 @@ def bug_assign_block(
     pinned: dict[Reg, int],
     candidate_clusters: tuple[int, ...] | None = None,
     home_hints: dict[Reg, int] | None = None,
+    table: DepTable | None = None,
 ) -> BugBlockResult:
     """Assign ``insn.cluster`` for every instruction of ``block`` in place.
 
@@ -51,34 +52,30 @@ def bug_assign_block(
 
     ``home_hints`` supplies *predicted* homes (from a previous assignment
     iteration) for registers not pinned yet, so cross-block operand costs
-    are priced even for blocks processed early.
+    are priced even for blocks processed early.  ``table`` is the block's
+    :class:`DepTable` for ``machine``, built here when not given.
     """
     hints = home_hints or {}
-    dfg = DFG(block)
+    if table is None:
+        table = DepTable(block, machine)
     insns = block.instructions
+    n = table.n
     if candidate_clusters is None:
         candidate_clusters = tuple(range(machine.n_clusters))
-    delay = machine.inter_cluster_delay
+    delay = table.delay
+    preds = table.preds
+    latency = table.latency
+    heights = table.heights  # critical path under same-cluster latencies
 
-    # Critical-path priority: height under same-cluster latencies.
-    heights = dfg.heights(
-        lambda e: same_cluster_edge_latency(e, insns[e.src], machine)
-    )
-
-    table = ReservationTable(machine.n_clusters, machine.issue_width)
-    issue_of: list[int] = [-1] * dfg.n
+    slots = ReservationTable(machine.n_clusters, machine.issue_width)
+    issue_of: list[int] = [-1] * n
+    cluster_of: list[int] = [-1] * n
     cluster_load = [0] * machine.n_clusters  # total slots reserved so far
-    n_unassigned_preds = [len(dfg.preds[i]) for i in range(dfg.n)]
+    n_unassigned_preds = [len(p) for p in preds]
 
     # Ready queue ordered by (critical path first, then program order).
-    ready: list[tuple[int, int]] = []
-    for i in range(dfg.n):
-        if n_unassigned_preds[i] == 0:
-            heapq.heappush(ready, (-heights[i], i))
-
-    # Registers defined earlier in this block: their cross-block home rule
-    # must not apply (the in-block DATA edge covers them).
-    defined_in_block: set[Reg] = set()
+    ready = [(-heights[i], i) for i in range(n) if not n_unassigned_preds[i]]
+    heapq.heapify(ready)
     n_done = 0
 
     while ready:
@@ -94,7 +91,15 @@ def bug_assign_block(
                 cands = (home,)
                 break
 
-        in_block_ops = {e.reg for e in dfg.preds[i] if e.kind is DepKind.DATA}
+        # Cross-block operands (reads of values defined before the block):
+        # reading a remote home costs the delay from the top of the block.
+        xhomes = []
+        for r in table.cross_reads[i]:
+            home = pinned.get(r)
+            if home is None:
+                home = hints.get(r)
+            xhomes.append(home)
+
         # Choice key: earliest completion first (the Algorithm 2 heuristic),
         # then fewest cross-cluster operand reads, then the less loaded
         # cluster (ties mean the delay is irrelevant, so balance resources),
@@ -104,28 +109,19 @@ def bug_assign_block(
         for c in cands:
             ready_cycle = 0
             cross_reads = 0
-            for e in dfg.preds[i]:
-                src = insns[e.src]
-                lat = edge_issue_latency(
-                    e, src, machine, src_cluster=src.cluster, dst_cluster=c
-                )
-                ready_cycle = max(ready_cycle, issue_of[e.src] + lat)
-                if e.kind is DepKind.DATA and src.cluster != c:
+            for p, lat, is_data in preds[i]:
+                if is_data and cluster_of[p] != c:
+                    lat += delay
                     cross_reads += 1
-            # Cross-block operands: reading a remote home costs the delay
-            # from the top of the block.
-            for r in insn.reads():
-                if r in in_block_ops or r in defined_in_block:
-                    continue
-                home = pinned.get(r)
-                if home is None:
-                    home = hints.get(r)
+                if issue_of[p] + lat > ready_cycle:
+                    ready_cycle = issue_of[p] + lat
+            for home in xhomes:
                 if home is not None and home != c:
-                    ready_cycle = max(ready_cycle, delay)
+                    if delay > ready_cycle:
+                        ready_cycle = delay
                     cross_reads += 1
-            issue = table.first_free_cycle(c, ready_cycle)
-            completion = issue + machine.latency_of(insn.opcode)
-            key = (completion, cross_reads, cluster_load[c], c)
+            issue = slots.first_free_cycle(c, ready_cycle)
+            key = (issue + latency[i], cross_reads, cluster_load[c], c)
             if best is None or key < best:
                 best = key
                 best_issue = issue
@@ -133,19 +129,19 @@ def bug_assign_block(
         assert best is not None
         cluster = best[3]
         insn.cluster = cluster
+        cluster_of[i] = cluster
         issue_of[i] = best_issue
-        table.reserve(best_issue, cluster)
+        slots.reserve(best_issue, cluster)
         cluster_load[cluster] += 1
         for d in insn.writes():
             pinned.setdefault(d, cluster)
-            defined_in_block.add(d)
 
-        for e in dfg.succs[i]:
-            n_unassigned_preds[e.dst] -= 1
-            if n_unassigned_preds[e.dst] == 0:
-                heapq.heappush(ready, (-heights[e.dst], e.dst))
+        for j, _, _ in table.succs[i]:
+            n_unassigned_preds[j] -= 1
+            if not n_unassigned_preds[j]:
+                heapq.heappush(ready, (-heights[j], j))
 
-    if n_done != dfg.n:  # pragma: no cover - DFG is a DAG by construction
+    if n_done != n:  # pragma: no cover - DFG is a DAG by construction
         raise AssertionError("BUG failed to visit every node")
 
     length = max(issue_of) + 1 if issue_of else 0
@@ -153,9 +149,9 @@ def bug_assign_block(
     if tel.enabled:
         tel.count("assign.bug.blocks")
         tel.observe("assign.bug.estimated_length", length)
-        if dfg.n:
+        if n:
             # Completion-cycle spread: how far greedy placement pushed the
             # last instruction past a perfectly packed lower bound.
-            lower = -(-dfg.n // (machine.issue_width * machine.n_clusters))
+            lower = -(-n // (machine.issue_width * machine.n_clusters))
             tel.observe("assign.bug.length_vs_packed", length / max(1, lower))
     return BugBlockResult(issue_estimate=issue_of, estimated_length=length)

@@ -31,6 +31,7 @@ from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
 from repro.passes.assignment.bug import bug_assign_block
 from repro.passes.base import FunctionPass, PassContext
+from repro.passes.latency import DepTable
 from repro.passes.scheduler import schedule_block
 
 #: Assumed relative execution frequency per loop-nesting level.
@@ -54,6 +55,47 @@ def _fixed_assign(block: BasicBlock, pinned: dict[Reg, int], cluster_of_insn) ->
 
 def _block_weight(depth: int) -> int:
     return _DEPTH_WEIGHT_BASE ** min(depth, _MAX_DEPTH)
+
+
+class _BlockLengths:
+    """Candidate schedule lengths for one pass run.
+
+    Each block gets one :class:`DepTable`.  A block's list schedule depends
+    only on its cluster vector and on the homes of its cross-block reads,
+    so lengths are memoized by (block, cluster vector, those homes); the
+    unified and split shapes recur across the two iterations and the
+    final scoring.
+    """
+
+    def __init__(self, machine: MachineConfig) -> None:
+        self.machine = machine
+        self._tables: dict[str, DepTable] = {}
+        self._memo: dict[tuple, int] = {}
+
+    def table(self, block: BasicBlock) -> DepTable:
+        table = self._tables.get(block.label)
+        if table is None:
+            table = self._tables[block.label] = DepTable(block, self.machine)
+        return table
+
+    def length(self, block: BasicBlock, home_of) -> int:
+        """Schedule length of ``block`` as currently assigned, with
+        ``home_of(reg)`` giving a register's home (or None)."""
+        table = self.table(block)
+        homes = tuple(home_of(r) for r in table.cross_regs)
+        key = (
+            block.label,
+            tuple(insn.cluster for insn in block.instructions),
+            homes,
+        )
+        length = self._memo.get(key)
+        if length is None:
+            known = {
+                r: h for r, h in zip(table.cross_regs, homes) if h is not None
+            }
+            length = schedule_block(block, self.machine, known, table).length
+            self._memo[key] = length
+        return length
 
 
 #: Default per-block candidate portfolio.
@@ -96,7 +138,7 @@ class CastedAssignmentPass(FunctionPass):
     def _score(
         self,
         function: Function,
-        machine: MachineConfig,
+        lengths: _BlockLengths,
         clusters: dict[str, list[int]],
         homes: dict[Reg, int],
         weight_of: dict[str, int],
@@ -106,23 +148,24 @@ class CastedAssignmentPass(FunctionPass):
             block = function.block(label)
             for insn, c in zip(block.instructions, cl):
                 insn.cluster = c
-            length = schedule_block(block, machine, homes).length
-            total += weight_of[label] * length
+            total += weight_of[label] * lengths.length(block, homes.get)
         return total
 
     def _mixed_assign(
         self,
         function: Function,
-        machine: MachineConfig,
+        lengths: _BlockLengths,
         order,
         checker: int,
         home_hints: dict[Reg, int],
     ) -> tuple[dict[str, list[int]], dict[Reg, int], dict[str, int]]:
+        machine = lengths.machine
         pinned: dict[Reg, int] = {}
         clusters: dict[str, list[int]] = {}
         chosen: dict[str, int] = {"unified": 0, "split": 0, "bug": 0}
         for label in order:
             block = function.block(label)
+            table = lengths.table(block)
             best_name = None
             best_len = None
             best_clusters: list[int] = []
@@ -136,6 +179,7 @@ class CastedAssignmentPass(FunctionPass):
                         pins,
                         candidate_clusters=self.clusters,
                         home_hints=home_hints,
+                        table=table,
                     )
                 elif name == "split":
                     _fixed_assign(
@@ -143,9 +187,10 @@ class CastedAssignmentPass(FunctionPass):
                     )
                 else:
                     _fixed_assign(block, pins, lambda i: 0)
-                length = schedule_block(
-                    block, machine, {**home_hints, **pins}
-                ).length
+                # Pins placed so far override the previous iteration's homes.
+                length = lengths.length(
+                    block, lambda r: pins.get(r, home_hints.get(r))
+                )
                 if best_len is None or length < best_len:
                     best_name, best_len = name, length
                     best_clusters = [i.cluster for i in block.instructions]
@@ -182,10 +227,11 @@ class CastedAssignmentPass(FunctionPass):
         )
         checker = 1 if machine.n_clusters > 1 else 0
 
+        lengths = _BlockLengths(machine)
         # Iteration 1 discovers homes; iteration 2 re-decides with them.
-        _, homes1, _ = self._mixed_assign(function, machine, order, checker, {})
+        _, homes1, _ = self._mixed_assign(function, lengths, order, checker, {})
         mixed, homes2, chosen = self._mixed_assign(
-            function, machine, order, checker, homes1
+            function, lengths, order, checker, homes1
         )
 
         candidates = [
@@ -203,7 +249,7 @@ class CastedAssignmentPass(FunctionPass):
 
         best = None
         for name, clusters, homes in candidates:
-            score = self._score(function, machine, clusters, homes, weight_of)
+            score = self._score(function, lengths, clusters, homes, weight_of)
             if best is None or score < best[0]:
                 best = (score, name, clusters)
 

@@ -18,12 +18,17 @@ final schedule obeys.  This module is that single pricing function.
 * ``CTRL``  — 1 after a check's branch (it must resolve before the guarded
   instruction executes); producer's full latency for the terminator
   barrier (the block's branch leaves only after everything completed).
+
+:class:`DepTable` is the same pricing precomputed once per block: every
+edge carries its same-cluster latency, and only a ``DATA`` edge's
+inter-cluster delay is left to the placement being priced.
 """
 
 from __future__ import annotations
 
 from repro.errors import ScheduleError
-from repro.ir.dfg import DepKind, Edge
+from repro.ir.basic_block import BasicBlock
+from repro.ir.dfg import DFG, DepKind, Edge
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.machine.config import MachineConfig
@@ -69,3 +74,51 @@ def same_cluster_edge_latency(edge: Edge, src: Instruction, machine: MachineConf
     if edge.kind is DepKind.DATA:
         return machine.latency_of(src.opcode)
     return edge_issue_latency(edge, src, machine, src_cluster=0, dst_cluster=0)
+
+
+class DepTable:
+    """One block's dependence graph priced for one machine.
+
+    Built once per block and read by BUG, CASTED's candidate search and the
+    list scheduler, so pricing a placement never rebuilds the DFG:
+
+    * ``succs[i]`` / ``preds[i]`` — ``(node, latency, is_data)`` per DFG
+      edge, in DFG order (repeats kept).  ``latency`` is
+      :func:`same_cluster_edge_latency`; a ``DATA`` edge whose endpoints
+      sit on different clusters costs ``delay`` on top.
+    * ``heights[i]`` — critical-path height under those latencies.
+    * ``latency[i]`` — instruction ``i``'s own static latency.
+    * ``cross_reads[i]`` — ``i``'s reads of values defined before the block
+      (see :attr:`DFG.cross_reads`); ``cross_regs`` lists each such
+      register once, in first-read order.  These are the only registers
+      whose home cluster a schedule of the block depends on.
+    """
+
+    __slots__ = (
+        "n", "delay", "succs", "preds", "heights", "latency",
+        "cross_reads", "cross_regs",
+    )
+
+    def __init__(self, block: BasicBlock, machine: MachineConfig) -> None:
+        dfg = DFG(block)
+        insns = block.instructions
+        n = dfg.n
+        self.n = n
+        self.delay = machine.inter_cluster_delay
+        self.latency = [machine.latency_of(insn.opcode) for insn in insns]
+        succs: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+        preds: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+        for e in dfg.edges:
+            lat = same_cluster_edge_latency(e, insns[e.src], machine)
+            is_data = e.kind is DepKind.DATA
+            succs[e.src].append((e.dst, lat, is_data))
+            preds[e.dst].append((e.src, lat, is_data))
+        self.succs = succs
+        self.preds = preds
+        self.heights = dfg.heights(
+            lambda e: same_cluster_edge_latency(e, insns[e.src], machine)
+        )
+        self.cross_reads = dfg.cross_reads
+        self.cross_regs = tuple(
+            dict.fromkeys(r for reads in dfg.cross_reads for r in reads)
+        )

@@ -9,7 +9,10 @@ instructions into per-cluster issue slots, honouring
   inter-cluster delay when they cross clusters),
 * the remote-operand rule for cross-block operands: reading a register
   whose home file is the other cluster costs the delay from block entry,
-* per-cluster issue width via a reservation table.
+* per-cluster issue width.
+
+Each block's dependences come priced from its :class:`DepTable`, which
+CASTED's candidate search and BUG read too.
 
 Priority is critical-path height, then program order — the same preference
 order BUG uses, so the schedule realizes the assignment's intent.
@@ -21,18 +24,16 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.errors import ScheduleError
-from repro.ir.dfg import DFG, DepKind
 from repro.ir.program import Program
 from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
-from repro.machine.reservation import ReservationTable
 from repro.obs import get_telemetry
 from repro.passes.assignment.base import (
     collect_function_def_clusters,
     validate_assignment,
 )
 from repro.passes.base import FunctionPass, PassContext
-from repro.passes.latency import edge_issue_latency, same_cluster_edge_latency
+from repro.passes.latency import DepTable
 
 
 @dataclass(frozen=True)
@@ -99,92 +100,92 @@ class ListScheduler(FunctionPass):
         )
         return True
 
-def schedule_block(block, machine: MachineConfig, homes: dict[Reg, int]) -> BlockSchedule:
+
+def schedule_block(
+    block,
+    machine: MachineConfig,
+    homes: dict[Reg, int],
+    table: DepTable | None = None,
+) -> BlockSchedule:
     """List-schedule one block given every instruction's cluster.
 
     ``homes`` maps registers to their home cluster for the cross-block
     remote-operand rule; registers absent from the map are assumed local
     (the CASTED assignment pass also calls this with a *partial* map to
-    evaluate candidate placements).
+    evaluate candidate placements).  ``table`` is the block's
+    :class:`DepTable` for ``machine``, built here when not given.
     """
-    dfg = DFG(block)
+    if table is None:
+        table = DepTable(block, machine)
     insns = block.instructions
-    n = dfg.n
-    delay = machine.inter_cluster_delay
-
-    heights = dfg.heights(
-        lambda e: same_cluster_edge_latency(e, insns[e.src], machine)
-    )
+    n = table.n
+    n_clusters = machine.n_clusters
+    width = machine.issue_width
+    delay = table.delay
+    cluster_of = [insn.cluster for insn in insns]
+    for i, c in enumerate(cluster_of):
+        if c is None or not 0 <= c < n_clusters:
+            raise ScheduleError(f"{block.label}[{i}] has invalid cluster {c}")
 
     # Earliest issue from cross-block remote operands.
-    base_ready = [0] * n
-    defined_in_block: set[Reg] = set()
-    in_block_data_ops: list[set[Reg]] = []
-    for i, insn in enumerate(insns):
-        in_block_data_ops.append(
-            {e.reg for e in dfg.preds[i] if e.kind is DepKind.DATA}
-        )
-        for r in insn.reads():
-            if r in in_block_data_ops[i] or r in defined_in_block:
-                continue
-            home = homes.get(r)
-            if home is not None and insn.cluster is not None and home != insn.cluster:
-                base_ready[i] = max(base_ready[i], delay)
-        for d in insn.writes():
-            defined_in_block.add(d)
+    ready_at = [0] * n  # earliest legal issue cycle, updated as preds land
+    if delay:
+        for i, reads in enumerate(table.cross_reads):
+            c = cluster_of[i]
+            for r in reads:
+                home = homes.get(r)
+                if home is not None and home != c:
+                    ready_at[i] = delay
+                    break
 
-    table = ReservationTable(machine.n_clusters, machine.issue_width)
+    heights = table.heights
+    succs = table.succs
+    unscheduled_preds = [len(p) for p in table.preds]
     cycle_of = [-1] * n
     slot_of = [-1] * n
-    unscheduled_preds = [len(dfg.preds[i]) for i in range(n)]
-    ready_at = [0] * n  # earliest legal issue cycle, updated as preds land
+    ready = [(-heights[i], i) for i in range(n) if not unscheduled_preds[i]]
+    heapq.heapify(ready)
 
-    ready: list[tuple[int, int]] = []  # (-height, index)
-    for i in range(n):
-        ready_at[i] = base_ready[i]
-        if unscheduled_preds[i] == 0:
-            heapq.heappush(ready, (-heights[i], i))
-
+    # Every cycle pops the ready queue in priority order; an instruction
+    # not yet ready, or whose cluster's slots are full, waits a cycle.  Only
+    # the current cycle's slots are ever taken, so one counter per cluster
+    # is the reservation table.
     n_done = 0
     cycle = 0
-    pending: list[tuple[int, int]] = []  # deferred, re-queued next cycle
-    guard = 0
     while n_done < n:
-        guard += 1
-        if guard > 1_000_000:  # pragma: no cover - safety net
-            raise ScheduleError(f"scheduler live-locked in block {block.label}")
+        used = [0] * n_clusters
         deferred: list[tuple[int, int]] = []
         while ready:
-            prio, i = heapq.heappop(ready)
-            if ready_at[i] > cycle:
-                deferred.append((prio, i))
+            item = heapq.heappop(ready)
+            i = item[1]
+            c = cluster_of[i]
+            slot = used[c]
+            if ready_at[i] > cycle or slot >= width:
+                deferred.append(item)
                 continue
-            cluster = insns[i].cluster
-            if not table.has_free_slot(cycle, cluster):
-                deferred.append((prio, i))
-                continue
-            slot = table.reserve(cycle, cluster)
+            used[c] = slot + 1
             cycle_of[i] = cycle
             slot_of[i] = slot
             n_done += 1
-            for e in dfg.succs[i]:
-                j = e.dst
-                lat = edge_issue_latency(
-                    e,
-                    insns[i],
-                    machine,
-                    src_cluster=insns[i].cluster,
-                    dst_cluster=insns[j].cluster,
-                )
+            for j, lat, is_data in succs[i]:
+                if is_data and cluster_of[j] != c:
+                    lat += delay
                 if cycle + lat > ready_at[j]:
                     ready_at[j] = cycle + lat
                 unscheduled_preds[j] -= 1
-                if unscheduled_preds[j] == 0:
+                if not unscheduled_preds[j]:
                     heapq.heappush(ready, (-heights[j], j))
-        for item in deferred:
-            heapq.heappush(ready, item)
         if n_done < n:
-            cycle += 1
+            if not deferred:  # pragma: no cover - the DFG is a DAG
+                raise ScheduleError(f"scheduler deadlocked in block {block.label}")
+            if any(used):
+                cycle += 1
+            else:
+                # Nothing could issue: every waiting instruction is held by
+                # its ready cycle, and nothing changes before the earliest.
+                cycle = min(ready_at[i] for _, i in deferred)
+        ready = deferred
+        heapq.heapify(ready)
 
     length = (max(cycle_of) + 1) if n else 1
     return BlockSchedule(

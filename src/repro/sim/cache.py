@@ -102,6 +102,10 @@ class CacheHierarchy:
     def __init__(self, config: CacheHierarchyConfig) -> None:
         self.config = config
         self.levels = [_Level(cfg) for cfg in config.levels]
+        l1 = self.levels[0]
+        # L1-hit fast path (see access): set lists survive flush(), which
+        # clears them in place.
+        self._l1 = (l1.sets, l1.n_sets, l1.block_bytes, l1.cfg.name, l1.cfg.latency)
         self.stats = CacheStats(
             hits={cfg.name: 0 for cfg in config.levels},
             misses={cfg.name: 0 for cfg in config.levels},
@@ -118,30 +122,43 @@ class CacheHierarchy:
     def access(self, word_addr: int, is_store: bool) -> int:
         """Access one word; returns total latency in cycles."""
         byte_addr = word_addr * BYTES_PER_WORD
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
 
+        # L1 hit: move the line to MRU and, on a store, dirty it — what the
+        # general path below does through lookup() + set_dirty().
+        sets, n_sets, block_bytes, name, l1_latency = self._l1
+        block_addr = byte_addr // block_bytes
+        s = sets[block_addr % n_sets]
+        tag = block_addr // n_sets
+        dirty = s.pop(tag, None)
+        if dirty is not None:
+            s[tag] = dirty or is_store
+            stats.hits[name] += 1
+            return l1_latency
+        stats.misses[name] += 1
+
+        levels = self.levels
         hit_idx: int | None = None
         latency = self.config.memory_latency
-        for i, level in enumerate(self.levels):
-            block_addr = byte_addr // level.block_bytes
-            if level.lookup(block_addr):
-                self.stats.hits[level.cfg.name] += 1
+        for i in range(1, len(levels)):
+            level = levels[i]
+            if level.lookup(byte_addr // level.block_bytes):
+                stats.hits[level.cfg.name] += 1
                 hit_idx = i
                 latency = level.cfg.latency
                 break
-            self.stats.misses[level.cfg.name] += 1
+            stats.misses[level.cfg.name] += 1
 
         # Fill every level closer than the hit point (or all on full miss).
-        fill_until = hit_idx if hit_idx is not None else len(self.levels)
+        fill_until = hit_idx if hit_idx is not None else len(levels)
         for i in range(fill_until - 1, -1, -1):
-            level = self.levels[i]
-            block_addr = byte_addr // level.block_bytes
-            evicted_dirty, _ = level.fill(block_addr, dirty=False)
+            level = levels[i]
+            evicted_dirty, _ = level.fill(byte_addr // level.block_bytes, dirty=False)
             if evicted_dirty:
-                self.stats.writebacks += 1
+                stats.writebacks += 1
 
         if is_store:
             # Write-allocate, write-back: dirty the line in the closest level.
-            l1 = self.levels[0]
-            l1.set_dirty(byte_addr // l1.block_bytes)
+            levels[0].set_dirty(block_addr)
         return latency

@@ -95,7 +95,9 @@ class VLIWExecutor:
 
         # Reuse the interpreter's closure compiler and state arrays.  The
         # interpreter carries the backend choice too, so functional runs
-        # (and the fault campaigns built on them) fuse the same way.
+        # (and the fault campaigns built on them) fuse the same way; the
+        # timed loop never runs its fused blocks, so they are built on the
+        # first functional run.
         self._interp = Interpreter(
             compiled.program,
             mem_words=compiled.mem_words,

@@ -12,6 +12,8 @@ attribution).  Random-program differential coverage lives in
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
@@ -103,13 +105,36 @@ class TestTimedEquivalence:
         assert counters("compiled") == counters("interp")
 
 
-class TestDecodeCache:
-    def test_repeat_construction_hits_cache(self):
-        program = get_workload("mcf").program
-        Interpreter(program, backend="compiled")  # ensure blocks are cached
+class TestExecutorDefersFunctionalFusion:
+    def test_timed_run_fuses_no_functional_blocks(self):
+        cp = _compiled("h263enc", Scheme.CASTED)
         tel = obs.configure()
         try:
-            Interpreter(program, backend="compiled")
+            VLIWExecutor(cp, backend="compiled").run()
+            counters = dict(tel.metrics.counters)
+        finally:
+            obs.reset()
+        assert not any(k.startswith("sim.fuse_cache.") for k in counters)
+        assert counters["sim.runs"] == 1
+
+    def test_functional_run_fuses_on_first_use(self):
+        cp = _compiled("h263enc", Scheme.CASTED)
+        fused_ex = VLIWExecutor(cp, backend="compiled")
+        assert fused_ex._interp._fused_blocks is None
+        ref = VLIWExecutor(cp, backend="interp").functional_run(record_trace=True)
+        assert fused_ex.functional_run(record_trace=True) == ref
+        assert fused_ex._interp._fused_blocks is not None
+        assert fused_ex.functional_run() == replace(ref, block_trace=())
+
+
+class TestDecodeCache:
+    def test_repeat_construction_hits_cache(self):
+        # Blocks are fused (and decoded) on first use, not at construction.
+        program = get_workload("mcf").program
+        Interpreter(program, backend="compiled")._fused  # ensure blocks are cached
+        tel = obs.configure()
+        try:
+            Interpreter(program, backend="compiled")._fused
             hits = tel.metrics.counters.get("sim.decode_cache.hits", 0)
             misses = tel.metrics.counters.get("sim.decode_cache.misses", 0)
         finally:

@@ -86,11 +86,11 @@ class TestMachineConfig:
 class TestReservationTable:
     def test_reserve_and_fill(self):
         t = ReservationTable(2, 2)
-        assert t.has_free_slot(0, 0)
+        assert t.free_slots(0, 0) == 2
         assert t.reserve(0, 0) == 0
         assert t.reserve(0, 0) == 1
-        assert not t.has_free_slot(0, 0)
-        assert t.has_free_slot(0, 1)
+        assert t.free_slots(0, 0) == 0
+        assert t.free_slots(0, 1) == 2
 
     def test_overflow_raises(self):
         t = ReservationTable(1, 1)
