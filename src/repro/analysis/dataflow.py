@@ -255,10 +255,25 @@ class MustDefined(DataflowAnalysis):
     direction = Direction.FORWARD
 
     def __init__(self, function: Function) -> None:
+        # One walk summarizes every block: the registers it writes (its
+        # block transfer is ``fact | gen``) and its upward-exposed reads,
+        # those not preceded by an in-block write -- the only reads whose
+        # definedness depends on the entry fact.
         regs: set[Reg] = set()
-        for _, _, insn in function.all_instructions():
-            regs.update(insn.reads())
-            regs.update(insn.writes())
+        self.gen: dict[str, Fact] = {}
+        self.exposed: dict[str, list[tuple[int, Instruction, Reg]]] = {}
+        for block in function.blocks():
+            written: set[Reg] = set()
+            exposed: list[tuple[int, Instruction, Reg]] = []
+            for idx, insn in enumerate(block.instructions):
+                for r in insn.srcs:
+                    if r not in written:
+                        exposed.append((idx, insn, r))
+                        regs.add(r)
+                written.update(insn.dests)
+            regs |= written
+            self.gen[block.label] = frozenset(written)
+            self.exposed[block.label] = exposed
         self._all_regs: Fact = frozenset(regs)
 
     def boundary(self, function: Function) -> Fact:
@@ -280,10 +295,7 @@ class MustDefined(DataflowAnalysis):
         return fact | frozenset(writes) if writes else fact
 
     def transfer_block(self, block: BasicBlock, fact: Fact) -> Fact:
-        defined = set(fact)
-        for insn in block.instructions:
-            defined.update(insn.writes())
-        return frozenset(defined)
+        return fact | self.gen[block.label]
 
 
 class ReachingDefs(_UnionMeet):
@@ -351,17 +363,18 @@ def undefined_uses(
     means the function is use-before-def clean on all reachable paths.
     """
     cfg = cfg or CFG(function)
-    facts = solve(function, MustDefined(function), cfg)
+    analysis = MustDefined(function)
+    facts = solve(function, analysis, cfg)
     reachable = cfg.reachable()
     bad: list[tuple[str, int, Instruction, Reg]] = []
     for block in function.blocks():
-        if block.label not in reachable:
+        label = block.label
+        if label not in reachable:
             continue
-        # MustDefined's transfer, replayed on one mutable set.
-        defined = set(facts.entry[block.label])
-        for idx, insn in enumerate(block.instructions):
-            for r in insn.reads():
-                if r not in defined:
-                    bad.append((block.label, idx, insn, r))
-            defined.update(insn.writes())
+        # A read preceded by an in-block write is always defined, so only
+        # the block's upward-exposed reads are tested against its entry.
+        defined = facts.entry[label]
+        for idx, insn, r in analysis.exposed[label]:
+            if r not in defined:
+                bad.append((label, idx, insn, r))
     return bad

@@ -56,7 +56,7 @@ from repro.frontend import compile_source
 from repro.ir.printer import print_program
 from repro.ir.program import Program
 from repro.machine.config import MachineConfig
-from repro.pipeline import Scheme, compile_program
+from repro.pipeline import Scheme, compile_program, optimize_program
 from repro.sim.executor import VLIWExecutor
 from repro.utils.tables import format_table
 
@@ -425,10 +425,12 @@ def cmd_inject(args) -> int:
     program = _load_program(args.program)
     machine = _machine(args)
     scheme = Scheme(args.scheme)
-    compiled = compile_program(program, scheme, machine)
+    # The scheme compile and its NOED reference share one -O1 prefix.
+    optimized = optimize_program(program)
+    compiled = compile_program(optimized, scheme, machine)
     reference = None
     if scheme is not Scheme.NOED:
-        noed = compile_program(program, Scheme.NOED, machine)
+        noed = compile_program(optimized, Scheme.NOED, machine)
         reference = VLIWExecutor(noed).run().dyn_instructions
     injector = FaultInjector(
         compiled.program,
@@ -490,11 +492,11 @@ def cmd_inject(args) -> int:
 def _sweep_cell_worker(task) -> dict[str, int]:
     """Cycles of every scheme at one (issue width, delay) grid point."""
     spec, iw, d, backend = task
-    program = _load_program(spec)
+    optimized = optimize_program(_load_program(spec))
     machine = MachineConfig(issue_width=iw, inter_cluster_delay=d)
     cycles = {}
     for scheme in Scheme:
-        compiled = compile_program(program, scheme, machine)
+        compiled = compile_program(optimized, scheme, machine)
         cycles[scheme.value] = VLIWExecutor(compiled, backend=backend).run().cycles
     return cycles
 
@@ -548,11 +550,11 @@ def cmd_trace(args) -> int:
 def cmd_mix(args) -> int:
     from repro.eval.mixstats import dynamic_mix, render_mix_table, render_role_table
 
-    program = _load_program(args.program)
+    optimized = optimize_program(_load_program(args.program))
     profiles = []
     for scheme_name in args.schemes:
         scheme = Scheme(scheme_name)
-        compiled = compile_program(program, scheme, _machine(args))
+        compiled = compile_program(optimized, scheme, _machine(args))
         profiles.append(
             dynamic_mix(
                 compiled.program,
@@ -573,10 +575,12 @@ def cmd_recover(args) -> int:
     program = _load_program(args.program)
     machine = _machine(args)
     scheme = Scheme(args.scheme)
-    compiled = compile_program(program, scheme, machine)
+    # The scheme compile and its NOED reference share one -O1 prefix.
+    optimized = optimize_program(program)
+    compiled = compile_program(optimized, scheme, machine)
     reference = None
     if scheme is not Scheme.NOED:
-        noed = compile_program(program, Scheme.NOED, machine)
+        noed = compile_program(optimized, Scheme.NOED, machine)
         reference = VLIWExecutor(noed).run().dyn_instructions
     progress = None
     if args.progress:

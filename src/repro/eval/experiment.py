@@ -42,7 +42,13 @@ from repro.machine.config import MachineConfig
 from repro.obs import get_telemetry
 from repro.obs.progress import ProgressCallback, ProgressTracker
 from repro.parallel import parallel_map, resolve_jobs
-from repro.pipeline import CompiledProgram, Scheme, compile_program
+from repro.pipeline import (
+    CompiledProgram,
+    OptimizedProgram,
+    Scheme,
+    compile_program,
+    optimize_program,
+)
 from repro.sim.executor import VLIWExecutor
 from repro.utils.rng import derive_seed
 from repro.workloads import get_workload
@@ -50,7 +56,9 @@ from repro.workloads import get_workload
 #: Bump when a change invalidates previously cached results.  v6: campaigns
 #: draw from per-shard RNG streams (repro.parallel.SHARD_TRIALS), which
 #: changes coverage numbers relative to the old single-stream campaigns.
-CACHE_VERSION = 6
+#: v7: LICM hoists in block layout order, so compiled code no longer
+#: depends on PYTHONHASHSEED (entries written before were seed-dependent).
+CACHE_VERSION = 7
 
 logger = logging.getLogger(__name__)
 
@@ -165,6 +173,9 @@ class Evaluator:
         )
         self._mem: dict[str, dict] = {}
         self._compiled: dict[tuple, CompiledProgram] = {}
+        #: Each workload's ``-O1`` prefix, run once and compiled from at
+        #: every grid point (it depends on neither scheme nor machine).
+        self._optimized: dict[str, OptimizedProgram] = {}
 
     # -- caching ---------------------------------------------------------------
     def _load(self, key: str) -> dict | None:
@@ -250,10 +261,12 @@ class Evaluator:
         delay = _scheme_delay(scheme, delay)
         key = (workload, scheme, issue_width, delay)
         if key not in self._compiled:
+            stage = self._optimized.get(workload)
+            if stage is None:
+                stage = optimize_program(get_workload(workload).program)
+                self._optimized[workload] = stage
             machine = MachineConfig(issue_width=issue_width, inter_cluster_delay=delay)
-            self._compiled[key] = compile_program(
-                get_workload(workload).program, scheme, machine
-            )
+            self._compiled[key] = compile_program(stage, scheme, machine)
         return self._compiled[key]
 
     # -- cache keys ---------------------------------------------------------------

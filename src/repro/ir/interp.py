@@ -445,38 +445,59 @@ class Interpreter:
         self._init_mem = program.initial_memory_words()
         self._entry = program.main.entry.label
 
-        # Assign a flat slot to every register before building closures.
+        # Assign a flat slot to every register, and check the static frame
+        # addresses, before any closure is built.
         self._slot_of: dict[Reg, int] = {}
+        slot_of = self._slot_of
         for block in program.main.blocks():
             for insn in block.instructions:
                 for r in (*insn.dests, *insn.srcs):
-                    self._slot_of.setdefault(r, len(self._slot_of))
+                    slot_of.setdefault(r, len(slot_of))
+                if insn.opcode is Opcode.LOADFP or insn.opcode is Opcode.STOREFP:
+                    if not 1 <= self.frame_base + insn.imm < mem_words:
+                        raise SimError(f"frame slot {insn.imm} outside memory")
         self._R: list[int] = [0] * max(1, len(self._slot_of))
         self._M: list[int] = [0] * mem_words
         self._O: list[int] = []
 
-        self._blocks: dict[str, _CompiledBlock] = {}
-        for block in program.main.blocks():
+        self.backend = resolve_backend(backend)
+        self._compiled_blocks: dict[str, _CompiledBlock] | None = None
+        self._fused_blocks: dict[str, Callable[[], object]] | None = None
+
+    @property
+    def _blocks(self) -> dict[str, _CompiledBlock]:
+        """Per-instruction closures and fault metadata, built on first use.
+
+        Only functional runs (and the executor's interpreted timed loop)
+        dispatch them; a :class:`~repro.sim.executor.VLIWExecutor` on the
+        compiled backend that is only timed never builds them.
+        """
+        if self._compiled_blocks is None:
+            self._compiled_blocks = self._build_blocks()
+        return self._compiled_blocks
+
+    def _build_blocks(self) -> dict[str, _CompiledBlock]:
+        slot_of = self._slot_of
+        blocks: dict[str, _CompiledBlock] = {}
+        for block in self.program.main.blocks():
             cb = _CompiledBlock(block.label)
             for insn in block.instructions:
                 cb.fns.append(self._make_closure(insn))
                 if insn.dests:
-                    cb.dest_slots.append(self._slot_of[insn.dests[0]])
+                    cb.dest_slots.append(slot_of[insn.dests[0]])
                     cb.dest_is_pr.append(insn.dests[0].rclass is RegClass.PR)
                 else:
                     cb.dest_slots.append(-1)
                     cb.dest_is_pr.append(False)
-                cb.src_slots.append(tuple(self._slot_of[r] for r in insn.srcs))
+                cb.src_slots.append(tuple(slot_of[r] for r in insn.srcs))
                 cb.targets.append(
                     tuple(insn.targets)
                     if insn.opcode in (Opcode.JMP, Opcode.BRT, Opcode.BRF)
                     else ()
                 )
             cb.n = len(cb.fns)
-            self._blocks[block.label] = cb
-
-        self.backend = resolve_backend(backend)
-        self._fused_blocks: dict[str, Callable[[], object]] | None = None
+            blocks[block.label] = cb
+        return blocks
 
     @property
     def _fused(self) -> dict[str, Callable[[], object]] | None:
@@ -567,9 +588,7 @@ class Interpreter:
 
         if op is Opcode.LOADFP:
             d = dest
-            addr = self.frame_base + imm
-            if not 1 <= addr < mem_words:
-                raise SimError(f"frame slot {imm} outside memory")
+            addr = self.frame_base + imm  # bounds checked in __init__
 
             def f_loadfp() -> None:
                 R[d] = M[addr]
@@ -578,9 +597,7 @@ class Interpreter:
 
         if op is Opcode.STOREFP:
             a = srcs[0]
-            addr = self.frame_base + imm
-            if not 1 <= addr < mem_words:
-                raise SimError(f"frame slot {imm} outside memory")
+            addr = self.frame_base + imm  # bounds checked in __init__
 
             def f_storefp() -> None:
                 M[addr] = R[a]

@@ -33,17 +33,20 @@ def verify_function(
         raise IRError(f"function {function.name} has no blocks")
 
     for block in function.blocks():
-        if not block.instructions:
+        insns = block.instructions
+        if not insns:
             raise IRError(f"empty block {block.label}")
         if not block.is_terminated:
             raise IRError(f"block {block.label} lacks a terminator")
-        for idx, insn in enumerate(block.instructions):
+        last = len(insns) - 1
+        for idx, insn in enumerate(insns):
             insn.validate()
-            if insn.info.is_terminator and idx != len(block.instructions) - 1:
+            op = insn.opcode
+            if op.info.is_terminator and idx != last:
                 raise IRError(
                     f"terminator {insn} mid-block in {block.label} at {idx}"
                 )
-            if insn.opcode is Opcode.CHKBR and insn.targets != (DETECT_LABEL,):
+            if op is Opcode.CHKBR and insn.targets != (DETECT_LABEL,):
                 raise IRError(f"CHKBR must target {DETECT_LABEL}, got {insn.targets}")
 
     cfg = CFG(function)  # validates branch targets

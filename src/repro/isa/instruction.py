@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import IRError
-from repro.isa.opcodes import OP_INFO, Opcode, OpInfo
+from repro.isa.opcodes import Opcode, OpInfo
 from repro.isa.registers import Reg
 
 _uid_counter = itertools.count(1)
@@ -63,39 +63,43 @@ class Instruction:
     # -- structure ---------------------------------------------------------
     @property
     def info(self) -> OpInfo:
-        return OP_INFO[self.opcode]
+        return self.opcode.info
 
     def validate(self) -> None:
         """Check operand shape against the opcode's ``OpInfo``."""
-        info = self.info
-        n_reg_in = len(info.in_classes)
-        if self.imm is not None and not (info.allow_imm or info.needs_imm):
+        info = self.opcode.info
+        imm = self.imm
+        if imm is not None and not (info.allow_imm or info.needs_imm):
             raise IRError(f"{self.opcode.name} takes no immediate")
-        if info.needs_imm and self.imm is None:
+        if info.needs_imm and imm is None:
             raise IRError(f"{self.opcode.name} requires an immediate")
-        expected_srcs = n_reg_in
-        if info.allow_imm and self.imm is not None:
+        in_classes = info.in_classes
+        expected_srcs = len(in_classes)
+        if info.allow_imm and imm is not None:
             expected_srcs -= 1  # immediate replaces the last register input
-        if len(self.srcs) != expected_srcs:
+        srcs = self.srcs
+        if len(srcs) != expected_srcs:
             raise IRError(
                 f"{self.opcode.name} expects {expected_srcs} register sources, "
-                f"got {len(self.srcs)}"
+                f"got {len(srcs)}"
             )
-        for reg, rc in zip(self.srcs, info.in_classes):
+        for reg, rc in zip(srcs, in_classes):
             if reg.rclass is not rc:
                 raise IRError(
                     f"{self.opcode.name} source {reg} has class {reg.rclass.name}, "
                     f"expected {rc.name}"
                 )
-        if info.out_class is None:
-            if self.dests:
+        out_class = info.out_class
+        dests = self.dests
+        if out_class is None:
+            if dests:
                 raise IRError(f"{self.opcode.name} writes no register")
         else:
-            if len(self.dests) != 1:
+            if len(dests) != 1:
                 raise IRError(f"{self.opcode.name} must write exactly one register")
-            if self.dests[0].rclass is not info.out_class:
+            if dests[0].rclass is not out_class:
                 raise IRError(
-                    f"{self.opcode.name} dest {self.dests[0]} has wrong class"
+                    f"{self.opcode.name} dest {dests[0]} has wrong class"
                 )
         n_targets = info.n_targets + (1 if info.is_side_exit else 0)
         if len(self.targets) != n_targets:

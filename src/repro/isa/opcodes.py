@@ -82,6 +82,9 @@ class Opcode(enum.Enum):
     CHKBR = "chkbr"
     NOP = "nop"
 
+    #: This opcode's ``OP_INFO`` record, attached to each member below.
+    info: OpInfo
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"
 
@@ -196,3 +199,11 @@ OP_INFO: dict[Opcode, OpInfo] = {
 MNEMONIC_TO_OPCODE: dict[str, Opcode] = {info.mnemonic: op for op, info in OP_INFO.items()}
 
 assert set(OP_INFO) == set(Opcode), "every opcode needs an OP_INFO entry"
+
+# Hot paths (``Instruction.info``, ``MachineConfig.latency_of``) read the
+# record straight off the member: an ``OP_INFO[op]`` lookup runs the
+# Python-level ``Enum.__hash__`` on every call.  ``OP_INFO`` stays the
+# source of truth; this only mirrors it.
+for _op, _info in OP_INFO.items():
+    _op.info = _info
+del _op, _info

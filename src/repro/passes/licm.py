@@ -78,6 +78,10 @@ class LoopInvariantCodeMotion(FunctionPass):
         if len(outside_preds) != 1:
             return 0
         preheader = function.block(outside_preds[0])
+        # ``body`` is a set of labels, whose iteration order follows the
+        # (seeded) str hash; walk it in layout order so the hoisting order,
+        # and with it the output, is the same in every process.
+        body = [b.label for b in function.blocks() if b.label in body]
 
         # Defs and uses inside the loop, counted once from its current
         # blocks (which already hold what inner loops hoisted) and kept

@@ -7,11 +7,15 @@ after scheduling are *not* re-run post-ED (paper §IV-A) — except in the
 dedicated coverage ablation.
 
 ``compile_program`` never mutates its input (it clones first), so one
-workload can be compiled under every scheme/machine combination.
+workload can be compiled under every scheme/machine combination.  The
+``-O1`` prefix depends on neither, so :func:`optimize_program` runs it on
+its own and ``compile_program`` accepts that result in place of the source:
+a sweep optimizes each workload once and compiles every grid point from it.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Any
@@ -113,6 +117,47 @@ def collect_block_profile(program: Program, max_steps: int = 50_000_000) -> dict
     return dict(Counter(result.block_trace))
 
 
+@dataclass
+class OptimizedProgram:
+    """The ``-O1`` prefix's output: optimized IR plus its passes' stats.
+
+    Shared, never mutated: :func:`compile_program` clones the IR and
+    deep-copies the stats of every compile it starts from here.
+    """
+
+    program: Program
+    stats: dict[str, dict[str, Any]]
+    if_convert: bool = False
+
+
+def optimize_program(
+    source: Program, *, if_convert: bool = False, verify: bool = True
+) -> OptimizedProgram:
+    """Run the ``-O1`` prefix (paper Fig. 5) on a clone of ``source``."""
+    passes: list[FunctionPass] = [
+        ConstFoldPass(),
+        CopyPropPass(),
+        LocalCSEPass(),
+        LoopInvariantCodeMotion(),
+    ]
+    if if_convert:
+        # Off by default: predication changes the workloads' branch/check
+        # character, which the paper's analysis depends on; the ablation
+        # benchmark measures its effect explicitly.
+        from repro.passes.ifconvert import IfConversionPass
+
+        passes.append(IfConversionPass())
+    passes += [
+        SimplifyCFGPass(),
+        LocalCSEPass(),
+        DeadCodeEliminationPass(),
+    ]
+    program = source.clone()
+    ctx = PassContext()
+    PassManager(passes, verify=verify).run(program, ctx)
+    return OptimizedProgram(program, ctx.stats, if_convert)
+
+
 def _assignment_pass(
     scheme: Scheme,
     casted_candidates: tuple[str, ...] | None,
@@ -130,7 +175,7 @@ def _assignment_pass(
 
 
 def compile_program(
-    source: Program,
+    source: Program | OptimizedProgram,
     scheme: Scheme,
     machine: MachineConfig,
     optimize: bool = True,
@@ -146,6 +191,10 @@ def compile_program(
     capture_pre_regalloc: bool = False,
 ) -> CompiledProgram:
     """Compile ``source`` under ``scheme`` for ``machine``.
+
+    ``source`` is a front-end program, which is run through
+    :func:`optimize_program` first (unless ``optimize=False``), or an
+    :class:`OptimizedProgram` that already was; the output is the same.
 
     Defaults reproduce the paper's pipeline exactly; the keyword knobs
     drive the ablation/extension benchmarks:
@@ -172,31 +221,27 @@ def compile_program(
             f"{scheme} needs at least {scheme.info.min_clusters} clusters"
         )
 
-    program = source.clone()
-    ctx = PassContext(machine=machine)
+    if isinstance(source, OptimizedProgram):
+        if not optimize:
+            raise PassError("optimize=False contradicts an optimized source")
+        if if_convert != source.if_convert:
+            raise PassError(
+                f"if_convert={if_convert} contradicts a source optimized "
+                f"with if_convert={source.if_convert}"
+            )
+        # The stage is shared: compile a clone, and deep-copy the stats
+        # because later passes (the unsafe post-ED CSE) update them.
+        program = source.program.clone()
+        stats = copy.deepcopy(source.stats)
+    elif optimize:
+        stage = optimize_program(source, if_convert=if_convert, verify=verify)
+        program, stats = stage.program, stage.stats
+    else:
+        program, stats = source.clone(), {}
+    ctx = PassContext(machine=machine, stats=stats)
+    ctx.record("pre-ed-count", instructions=program.main.instruction_count())
 
     passes: list[FunctionPass] = []
-    if optimize:
-        passes += [
-            ConstFoldPass(),
-            CopyPropPass(),
-            LocalCSEPass(),
-            LoopInvariantCodeMotion(),
-        ]
-        if if_convert:
-            # Off by default: predication changes the workloads' branch/check
-            # character, which the paper's analysis depends on; the ablation
-            # benchmark measures its effect explicitly.
-            from repro.passes.ifconvert import IfConversionPass
-
-            passes.append(IfConversionPass())
-        passes += [
-            SimplifyCFGPass(),
-            LocalCSEPass(),
-            DeadCodeEliminationPass(),
-        ]
-    n_before_ed_marker = _CountMarker("pre-ed-count")
-    passes.append(n_before_ed_marker)
     if scheme.protected:
         from repro.passes.checks import FULL_POLICY
 
@@ -261,17 +306,6 @@ def compile_program(
         pass_stats=ctx.stats,
         pre_regalloc=ctx.artifacts.get("snapshot:pre-regalloc"),
     )
-
-
-class _CountMarker(FunctionPass):
-    """Records the instruction count at its pipeline position."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def run(self, program: Program, ctx: PassContext) -> bool:
-        ctx.record(self.name, instructions=program.main.instruction_count())
-        return False
 
 
 class _SnapshotPass(FunctionPass):

@@ -95,9 +95,10 @@ class VLIWExecutor:
 
         # Reuse the interpreter's closure compiler and state arrays.  The
         # interpreter carries the backend choice too, so functional runs
-        # (and the fault campaigns built on them) fuse the same way; the
-        # timed loop never runs its fused blocks, so they are built on the
-        # first functional run.
+        # (and the fault campaigns built on them) fuse the same way.  The
+        # fused timed loop runs neither the interpreter's closures nor its
+        # fused blocks, so both are built on first interpreted or
+        # functional use, as are this executor's per-block tables.
         self._interp = Interpreter(
             compiled.program,
             mem_words=compiled.mem_words,
@@ -106,10 +107,9 @@ class VLIWExecutor:
         )
         self.backend = self._interp.backend
         self._entry = compiled.program.main.entry.label
-        self._blocks: dict[str, _BlockCode] = {}
+        self._code: dict[str, _BlockCode] | None = None
         #: Lazy static (cluster, role) attribution table for telemetry.
         self._issue_table: dict[str, dict[tuple[int, str], int]] | None = None
-        self._build(compiled.program)
 
         lat = self.machine.latencies
         self._sched_lat_load = lat[LatencyClass.LOAD]
@@ -128,12 +128,22 @@ class VLIWExecutor:
             if self._fused is None:  # unfusable opcode: fall back wholesale
                 self.backend = "interp"
 
-    def _build(self, program: Program) -> None:
+    @property
+    def _blocks(self) -> dict[str, _BlockCode]:
+        """Interpreted-loop tables (the interpreter's closures in issue
+        order, plus memory metadata), built on first interpreted run."""
+        if self._code is None:
+            self._code = self._build(self.compiled.program)
+        return self._code
+
+    def _build(self, program: Program) -> dict[str, _BlockCode]:
         slot_of = self._interp._slot_of
         frame_base = self._interp.frame_base
+        interp_blocks = self._interp._blocks
+        blocks: dict[str, _BlockCode] = {}
         for block in program.main.blocks():
             sched = self.compiled.schedules.blocks[block.label]
-            cb = self._interp._blocks[block.label]
+            cb = interp_blocks[block.label]
             code = _BlockCode(block.label, sched.length)
             order = sorted(
                 range(len(block.instructions)),
@@ -165,7 +175,8 @@ class VLIWExecutor:
                     code.addr_slot.append(-1)
                     code.addr_off.append(0)
             code.n = len(code.fns)
-            self._blocks[code.label] = code
+            blocks[code.label] = code
+        return blocks
 
     # -- execution ------------------------------------------------------------
     def functional_run(

@@ -134,3 +134,33 @@ class TestMLP:
         par = VLIWExecutor(compile_program(prog2, Scheme.NOED, machine)).run()
         ser = VLIWExecutor(compile_program(prog_serial, Scheme.NOED, machine)).run()
         assert par.stall_cycles < ser.stall_cycles
+
+
+class TestLazyClosures:
+    """The fused timed loop needs no per-instruction closures."""
+
+    @pytest.fixture(scope="class")
+    def cp(self):
+        machine = MachineConfig(issue_width=2, inter_cluster_delay=2)
+        return compile_program(get_workload("mcf").program, Scheme.CASTED, machine)
+
+    def test_timed_only_builds_no_closures(self, cp):
+        ex = VLIWExecutor(cp, backend="compiled")
+        ex.run()
+        assert ex._code is None
+        assert ex._interp._compiled_blocks is None
+        assert ex._interp._fused_blocks is None
+
+    def test_first_functional_run_matches_interp_backend(self, cp):
+        timed = VLIWExecutor(cp, backend="compiled")
+        first_timed = timed.run()
+        got = timed.functional_run(record_trace=True)
+        ref = VLIWExecutor(cp, backend="interp").functional_run(record_trace=True)
+        assert got == ref
+        assert timed.run() == first_timed
+
+    def test_lazy_interp_tables_match_eager_run(self, cp):
+        fresh = VLIWExecutor(cp, backend="interp")
+        assert fresh._code is None
+        assert fresh.run() == VLIWExecutor(cp, backend="compiled").run()
+        assert fresh._code is not None

@@ -1,12 +1,7 @@
 """VLIW list scheduler + the independent legality validator."""
 
 import heapq
-import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -288,15 +283,15 @@ class TestSchedulerMatchesReference:
             schedule_block(block, machine, {})
 
 
-#: ``ctx.record`` of the CASTED pass per workload, under PYTHONHASHSEED=0
-#: (compiled output still depends on the hash seed): winner and the
-#: per-candidate block counts.
+#: ``ctx.record`` of the CASTED pass per workload: winner and the
+#: per-candidate block counts.  Compiled output does not depend on the hash
+#: seed (``tests/test_determinism.py``), so no seed is pinned.
 CASTED_RECORDS = {
     "iw2d2": {
         "cjpeg": ("unified", 29, 4, 1),
         "h263dec": ("mixed", 21, 6, 2),
         "h263enc": ("mixed", 18, 5, 3),
-        "mcf": ("unified", 12, 4, 0),
+        "mcf": ("unified", 12, 3, 1),
         "mpeg2dec": ("split", 26, 6, 3),
         "parser": ("unified", 35, 4, 3),
         "vpr": ("split", 24, 10, 5),
@@ -312,33 +307,14 @@ CASTED_RECORDS = {
     },
 }
 
-_RECORD_SCRIPT = """
-import json
-from repro.machine.config import paper_machine
-from repro.pipeline import Scheme, compile_program
-from repro.workloads import get_workload, workload_names
-out = {}
-for tag, iw, d in (("iw2d2", 2, 2), ("iw4d3", 4, 3)):
-    out[tag] = {}
-    for w in workload_names():
-        cp = compile_program(get_workload(w).program, Scheme.CASTED,
-                             paper_machine(issue_width=iw, delay=d))
-        r = cp.pass_stats["assign-casted"]
-        out[tag][w] = [r["winner"], r["blocks_unified"], r["blocks_split"],
-                       r["blocks_bug"]]
-print(json.dumps(out))
-"""
-
-
 def test_casted_decisions_pinned():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", _RECORD_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    got = json.loads(proc.stdout)
-    assert got == {
-        tag: {w: list(rec) for w, rec in recs.items()}
-        for tag, recs in CASTED_RECORDS.items()
-    }
+    got = {}
+    for tag, iw, d in (("iw2d2", 2, 2), ("iw4d3", 4, 3)):
+        got[tag] = {}
+        for w in workload_names():
+            cp = compile_program(get_workload(w).program, Scheme.CASTED,
+                                 paper_machine(issue_width=iw, delay=d))
+            r = cp.pass_stats["assign-casted"]
+            got[tag][w] = (r["winner"], r["blocks_unified"], r["blocks_split"],
+                           r["blocks_bug"])
+    assert got == CASTED_RECORDS
