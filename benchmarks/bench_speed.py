@@ -292,9 +292,7 @@ def bench_sweep(points: list[tuple], trials: int, jobs: int, seed: int = 2013) -
         os.environ["REPRO_CACHE_DIR"] = cache_dir
         ev = Evaluator(seed=seed, cache=True)
         _, elapsed = _time(lambda: ev.sweep(points, trials=trials, jobs=n_jobs))
-        files = {
-            p.name: p.read_text() for p in Path(cache_dir).glob("*.json")
-        }
+        files = {p.name: p.read_text() for p in ev._cache_dir.glob("*.json")}
         return elapsed, files
 
     saved = os.environ.get("REPRO_CACHE_DIR")

@@ -72,6 +72,20 @@ def _load_program(spec: str) -> Program:
     return compile_source(path.read_text(), name=path.stem)
 
 
+def _rate_matched(program: Program, scheme: Scheme, machine: MachineConfig):
+    """``(compiled, reference_dyn)`` for a rate-matched campaign.
+
+    ``reference_dyn`` is the NOED build's dynamic instruction count (``None``
+    when ``scheme`` is NOED itself); both builds share one ``-O1`` stage.
+    """
+    optimized = optimize_program(program)
+    compiled = compile_program(optimized, scheme, machine)
+    if scheme is Scheme.NOED:
+        return compiled, None
+    noed = compile_program(optimized, Scheme.NOED, machine)
+    return compiled, VLIWExecutor(noed).run().dyn_instructions
+
+
 def _machine(args) -> MachineConfig:
     return MachineConfig(
         issue_width=args.issue, inter_cluster_delay=args.delay
@@ -126,8 +140,8 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
         "--backend",
         choices=["compiled", "interp"],
         default=None,
-        help="execution backend (default: $REPRO_SIM_BACKEND or compiled; "
-        "interp is the differential-equivalence reference)",
+        help="execution backend (default: compiled; interp is the "
+        "differential-equivalence reference)",
     )
 
 
@@ -362,10 +376,10 @@ def cmd_prove(args) -> int:
     return status
 
 
-def _record_campaign_run(args, res, wall_s: float, jobs: int) -> None:
+def _record_campaign_run(
+    args, res, wall_s: float, jobs: int, backend: str
+) -> None:
     """Persist one ``inject`` campaign as a run-ledger entry."""
-    import os
-
     from repro.obs import get_telemetry
     from repro.obs.ledger import RunLedger, git_revision, utc_timestamp
     from repro.parallel import effective_cores
@@ -384,7 +398,7 @@ def _record_campaign_run(args, res, wall_s: float, jobs: int) -> None:
         "workload": args.program,
         "scheme": args.scheme,
         "fault_model": args.fault_model,
-        "backend": args.backend or os.environ.get("REPRO_SIM_BACKEND", "compiled"),
+        "backend": backend,
         "trials": res.trials,
         "requested_trials": args.trials,
         "seed": args.seed,
@@ -422,16 +436,9 @@ def cmd_inject(args) -> int:
 
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint FILE")
-    program = _load_program(args.program)
-    machine = _machine(args)
-    scheme = Scheme(args.scheme)
-    # The scheme compile and its NOED reference share one -O1 prefix.
-    optimized = optimize_program(program)
-    compiled = compile_program(optimized, scheme, machine)
-    reference = None
-    if scheme is not Scheme.NOED:
-        noed = compile_program(optimized, Scheme.NOED, machine)
-        reference = VLIWExecutor(noed).run().dyn_instructions
+    compiled, reference = _rate_matched(
+        _load_program(args.program), Scheme(args.scheme), _machine(args)
+    )
     injector = FaultInjector(
         compiled.program,
         mem_words=compiled.mem_words,
@@ -460,7 +467,7 @@ def cmd_inject(args) -> int:
         )
     wall_s = time.perf_counter() - t0
     if args.ledger:
-        _record_campaign_run(args, res, wall_s, jobs)
+        _record_campaign_run(args, res, wall_s, jobs, injector.interp.backend)
     rows = [
         [o.value, res.counts.get(o, 0), f"{res.fraction(o) * 100:.1f}%"]
         for o in OUTCOME_ORDER
@@ -572,16 +579,9 @@ def cmd_mix(args) -> int:
 def cmd_recover(args) -> int:
     from repro.recovery import run_recovery_campaign
 
-    program = _load_program(args.program)
-    machine = _machine(args)
-    scheme = Scheme(args.scheme)
-    # The scheme compile and its NOED reference share one -O1 prefix.
-    optimized = optimize_program(program)
-    compiled = compile_program(optimized, scheme, machine)
-    reference = None
-    if scheme is not Scheme.NOED:
-        noed = compile_program(optimized, Scheme.NOED, machine)
-        reference = VLIWExecutor(noed).run().dyn_instructions
+    compiled, reference = _rate_matched(
+        _load_program(args.program), Scheme(args.scheme), _machine(args)
+    )
     progress = None
     if args.progress:
         if args.heartbeat < 1:

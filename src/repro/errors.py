@@ -84,12 +84,6 @@ class ArithmeticTrap(SimTrap):
     kind = "arithmetic-trap"
 
 
-class InvalidInstructionTrap(SimTrap):
-    """Executor decoded an instruction it cannot execute."""
-
-    kind = "invalid-instruction"
-
-
 class Watchdog(SimTrap):
     """Guest exceeded its cycle budget (the paper's *Time out* outcome)."""
 

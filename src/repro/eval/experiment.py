@@ -21,27 +21,27 @@ run: per-point campaign seeds derive from the point's coordinates, never
 from execution order.  See ``docs/performance.md``.
 
 Set ``REPRO_CACHE=0`` to disable the disk cache, ``REPRO_CACHE_DIR`` to move
-it.
+it.  Entries live in a subdirectory named by a fingerprint of the package
+source, so an entry written by different code is never read back.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.faults.classify import Outcome
 from repro.ir.interp import ExitKind
-from repro.faults.injector import CampaignResult, FaultInjector
-from repro.ir.printer import canonical_program_text
+from repro.faults.injector import CampaignResult, FaultInjector, injector_key
 from repro.machine.config import MachineConfig
 from repro.obs import get_telemetry
 from repro.obs.progress import ProgressCallback, ProgressTracker
-from repro.parallel import parallel_map, resolve_jobs
+from repro.parallel import parallel_map, resolve_jobs, worker_cached
 from repro.pipeline import (
     CompiledProgram,
     OptimizedProgram,
@@ -52,13 +52,6 @@ from repro.pipeline import (
 from repro.sim.executor import VLIWExecutor
 from repro.utils.rng import derive_seed
 from repro.workloads import get_workload
-
-#: Bump when a change invalidates previously cached results.  v6: campaigns
-#: draw from per-shard RNG streams (repro.parallel.SHARD_TRIALS), which
-#: changes coverage numbers relative to the old single-stream campaigns.
-#: v7: LICM hoists in block layout order, so compiled code no longer
-#: depends on PYTHONHASHSEED (entries written before were seed-dependent).
-CACHE_VERSION = 7
 
 logger = logging.getLogger(__name__)
 
@@ -118,47 +111,47 @@ def _scheme_delay(scheme: Scheme, delay: int) -> int:
     return delay if scheme.info.uses_delay else 0
 
 
-#: Process-wide golden-run dedupe for fault campaigns (LRU, content-keyed).
-#:
-#: A :class:`FaultInjector` profiles its golden run (trace + snapshots) in
-#: ``__init__``, which is pure fixed overhead a sweep re-pays for every grid
-#: point that compiles to the same program — e.g. delay-only variations of a
-#: (workload, scheme) pair.  Keying by a hash of the *printed post-regalloc
-#: program* (plus the memory/frame geometry and fault model) makes the reuse
-#: exact-by-construction: identical key means identical golden execution, so
-#: a cached injector's campaigns are bit-identical to a fresh one's.  The
-#: cache is module-level so sweep pool workers, which persist across tasks,
-#: amortize goldens across the points they are handed.
-_INJECTOR_CACHE: OrderedDict[tuple, FaultInjector] = OrderedDict()
-_INJECTOR_CACHE_MAX = 8
+@functools.cache
+def _source_fingerprint() -> str:
+    """sha256[:16] over every ``repro`` source file (path and bytes).
 
-#: Content-exact program identity (``!of<uid>`` tags renumbered); lives in
-#: :mod:`repro.ir.printer` now that the worker pool's content-addressed
-#: cache shares it.  Kept under the old private name for callers/tests.
-_canonical_program_text = canonical_program_text
+    Names the disk cache's subdirectory: any source change moves the cache
+    to a fresh directory, so a stale entry can never be read back.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
 
 
 def _cached_injector(cp: CompiledProgram, fault_model: str) -> FaultInjector:
-    tel = get_telemetry()
-    key = (
-        hashlib.sha256(_canonical_program_text(cp.program).encode()).hexdigest(),
-        cp.mem_words,
-        cp.frame_words,
-        fault_model,
+    """The campaign injector of ``cp``, deduplicated by content.
+
+    A :class:`FaultInjector` profiles its golden run (trace + snapshots) in
+    ``__init__``; grid points that compile to the same program (CASTED
+    shipping the SCED or DCED shape) share one through
+    :func:`~repro.parallel.worker_cached`, keyed by :func:`injector_key` —
+    the key pool workers cache campaign injectors under too.
+    """
+    built = False
+
+    def build() -> FaultInjector:
+        nonlocal built
+        built = True
+        return FaultInjector(
+            cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
+            fault_model=fault_model,
+        )
+
+    key = injector_key(
+        cp.program, cp.mem_words, cp.frame_words, fault_model=fault_model
     )
-    injector = _INJECTOR_CACHE.get(key)
-    if injector is not None:
-        _INJECTOR_CACHE.move_to_end(key)
-        tel.count("eval.golden_cache.hits")
-        return injector
-    tel.count("eval.golden_cache.misses")
-    injector = FaultInjector(
-        cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
-        fault_model=fault_model,
+    injector = worker_cached(key, build)
+    get_telemetry().count(
+        "eval.golden_cache.misses" if built else "eval.golden_cache.hits"
     )
-    _INJECTOR_CACHE[key] = injector
-    while len(_INJECTOR_CACHE) > _INJECTOR_CACHE_MAX:
-        _INJECTOR_CACHE.popitem(last=False)
     return injector
 
 
@@ -167,9 +160,12 @@ class Evaluator:
         self.seed = seed
         if cache is None:
             cache = os.environ.get("REPRO_CACHE", "1") != "0"
-        self._disk = cache
-        self._cache_dir = Path(
-            os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
+        #: Disk cache directory, or ``None`` when the disk cache is off.
+        self._cache_dir = (
+            Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
+            / _source_fingerprint()
+            if cache
+            else None
         )
         self._mem: dict[str, dict] = {}
         self._compiled: dict[tuple, CompiledProgram] = {}
@@ -183,7 +179,7 @@ class Evaluator:
         if key in self._mem:
             tel.count("eval.cache.mem_hits")
             return self._mem[key]
-        if self._disk:
+        if self._cache_dir is not None:
             path = self._cache_dir / f"{key}.json"
             if path.exists():
                 # A corrupt or unreadable cache entry is never fatal: warn
@@ -239,7 +235,7 @@ class Evaluator:
 
     def _store(self, key: str, data: dict) -> None:
         self._mem[key] = data
-        if self._disk:
+        if self._cache_dir is not None:
             self._cache_dir.mkdir(parents=True, exist_ok=True)
             path = self._cache_dir / f"{key}.json"
             # Atomic publish: write the whole entry to a per-process temp
@@ -273,7 +269,7 @@ class Evaluator:
     def _perf_key(
         self, workload: str, scheme: Scheme, issue_width: int, delay: int
     ) -> str:
-        return f"v{CACHE_VERSION}_perf_{workload}_{scheme.value}_iw{issue_width}_d{delay}"
+        return f"perf_{workload}_{scheme.value}_iw{issue_width}_d{delay}"
 
     def _cov_key(
         self,
@@ -284,12 +280,9 @@ class Evaluator:
         trials: int,
         fault_model: str = "reg-bit",
     ) -> str:
-        # The default model keeps the historical key shape so existing cache
-        # entries (and their recorded figures) stay valid.
-        suffix = "" if fault_model == "reg-bit" else f"_fm-{fault_model}"
         return (
-            f"v{CACHE_VERSION}_cov_{workload}_{scheme.value}_iw{issue_width}_d{delay}"
-            f"_t{trials}_s{self.seed}{suffix}"
+            f"cov_{workload}_{scheme.value}_iw{issue_width}_d{delay}"
+            f"_t{trials}_s{self.seed}_fm-{fault_model}"
         )
 
     # -- performance ---------------------------------------------------------------
@@ -382,11 +375,12 @@ class Evaluator:
         :class:`~repro.pipeline.Scheme` or its string value.
 
         With ``jobs > 1`` the points missing from the cache are computed in
-        worker processes (each worker memoizes in memory only) and every
-        record a worker produced — including the NOED reference points
-        coverage needs for rate matching — is merged back here, the sole
-        cache writer.  Point seeds derive from the point's coordinates, so
-        records and cache files are identical to a serial run.
+        worker processes, each keeping one in-memory evaluator per seed
+        across tasks and sweeps.  A worker returns the point's records —
+        including the NOED reference perf coverage needs for rate
+        matching — and they are merged back here, the sole cache writer.
+        Point seeds derive from the point's coordinates, so records and
+        cache files are identical to a serial run.
 
         ``progress`` receives one heartbeat per computed point.
         """
@@ -425,27 +419,15 @@ class Evaluator:
                     self.coverage(workload, scheme, issue_width, delay, trials)
                 tracker.advance(1, {})
         elif missing:
-            if trials is not None:
-                # Rate-matched campaigns need the NOED reference perf of
-                # every protected point.  Compute those here (cheap: one
-                # compile + timed run, no campaign) so workers don't each
-                # redo them, then ship all known perf records along.
-                for workload, scheme, issue_width, delay in missing:
-                    if scheme is not Scheme.NOED:
-                        self.perf(workload, Scheme.NOED, issue_width, delay)
-            known = {
-                key: data
-                for key, data in self._mem.items()
-                if key.startswith(f"v{CACHE_VERSION}_perf_")
-            }
             tasks = [
-                (self.seed, workload, scheme.value, issue_width, delay, trials, known)
+                (self.seed, workload, scheme.value, issue_width, delay, trials)
                 for workload, scheme, issue_width, delay in missing
             ]
 
             def on_result(index: int, records: dict[str, dict]) -> None:
                 for key, data in records.items():
-                    self._store(key, data)
+                    if key not in self._mem:
+                        self._store(key, data)
                 tracker.advance(1, {})
 
             parallel_map(
@@ -468,20 +450,37 @@ class Evaluator:
 def _sweep_point_worker(task) -> dict[str, dict]:
     """Compute one grid point in a worker process.
 
-    The worker evaluator never touches the disk cache — it preloads the
-    records the parent already has (``known``) and returns only the *new*
-    in-memory records (cache key -> JSON-ready dict) for the parent to
-    persist, which keeps a single writer per cache directory.
+    The worker keeps one in-memory evaluator per seed in its
+    :func:`~repro.parallel.worker_cached` store, so every point it is
+    handed shares that workload's ``-O1`` stage and the records it already
+    computed (rate-matching NOED references included).  It returns the
+    point's records (cache key -> JSON-ready dict) for the parent to
+    persist, which keeps a single writer per cache directory, and drops
+    its compiled programs when the task ends.
     """
-    seed, workload, scheme_value, issue_width, delay, trials, known = task
+    seed, workload, scheme_value, issue_width, delay, trials = task
     with get_telemetry().span(
         "sweep:point", cat="eval", workload=workload, scheme=scheme_value,
         issue_width=issue_width, delay=delay,
     ):
-        ev = Evaluator(seed=seed, cache=False)
-        ev._mem.update(known)
+        ev = worker_cached(
+            f"sweep-evaluator:seed={seed}",
+            lambda: Evaluator(seed=seed, cache=False),
+        )
         scheme = Scheme(scheme_value)
-        ev.perf(workload, scheme, issue_width, delay)
-        if trials is not None:
-            ev.coverage(workload, scheme, issue_width, delay, trials)
-        return {key: data for key, data in ev._mem.items() if key not in known}
+        keys = [ev._perf_key(workload, scheme, issue_width, delay)]
+        try:
+            ev.perf(workload, scheme, issue_width, delay)
+            if trials is not None:
+                ev.coverage(workload, scheme, issue_width, delay, trials)
+                keys.append(
+                    ev._cov_key(workload, scheme, issue_width, delay, trials)
+                )
+                if scheme is not Scheme.NOED:
+                    keys.append(ev._perf_key(
+                        workload, Scheme.NOED, issue_width,
+                        _scheme_delay(Scheme.NOED, delay),
+                    ))
+        finally:
+            ev._compiled.clear()
+        return {key: ev._mem[key] for key in keys}

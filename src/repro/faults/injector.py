@@ -65,7 +65,6 @@ import numpy.typing as npt
 from repro.errors import SimError
 from repro.faults.checkpoint import CampaignCheckpoint
 from repro.faults.classify import (
-    OUTCOME_ORDER,
     Outcome,
     classify,
     detection_latency,
@@ -78,6 +77,7 @@ from repro.ir.interp import (
     RunResult,
     Snapshot,
     TraceGuide,
+    resolve_backend,
 )
 from repro.ir.printer import canonical_program_text
 from repro.ir.program import Program
@@ -208,11 +208,6 @@ class CampaignResult:
             return 0.0
         return self.detection_latency_sum / self.detections_timed
 
-    def as_row(self) -> dict[str, float]:
-        row = {o.value: self.fraction(o) for o in OUTCOME_ORDER}
-        row["coverage"] = self.coverage
-        return row
-
     def merged(self, other: "CampaignResult") -> "CampaignResult":
         """Combine outcome counts of two campaigns over the *same* binary.
 
@@ -264,6 +259,34 @@ class WorkerProfile:
 
     golden: RunResult
     snapshots: tuple[Snapshot, ...]
+
+
+def injector_key(
+    program: Program,
+    mem_words: int | None = None,
+    frame_words: int = 0,
+    fault_model: str = DEFAULT_FAULT_MODEL,
+    backend: str | None = None,
+    snapshots: bool = True,
+    snapshot_count: int = SNAPSHOT_COUNT,
+) -> str:
+    """The content address of a :class:`FaultInjector` built from these args.
+
+    A sha256 of the canonical program text plus every constructor knob,
+    with the backend *resolved*, so a worker rebuild can never resolve
+    differently from the parent.  Equal keys mean equal golden runs,
+    snapshots and campaigns: the evaluator's golden dedupe and the pool
+    workers' campaign injectors share :func:`repro.parallel.worker_cached`
+    entries through it.
+    """
+    digest = hashlib.sha256(canonical_program_text(program).encode())
+    digest.update(
+        repr((
+            mem_words, frame_words, fault_model, resolve_backend(backend),
+            snapshots, snapshot_count,
+        )).encode()
+    )
+    return digest.hexdigest()
 
 
 class CampaignWorkerSpec:
@@ -463,23 +486,14 @@ class FaultInjector:
 
         Memoized: the constructor payload — snapshots included — is pickled
         exactly once per injector, no matter how many campaigns, tasks or
-        retry rounds ship it.  The key hashes the *resolved* backend (not
-        the ``None`` the caller may have passed) so a worker rebuild can
-        never resolve differently from the parent.
+        retry rounds ship it.  The key is :func:`injector_key`; the
+        shipped args carry the resolved backend too.
         """
         if self._worker_spec is None:
             (
                 program, mem_words, frame_words, fault_model,
                 _backend, snapshots, snapshot_count,
             ) = self._ctor_args
-            digest = hashlib.sha256()
-            digest.update(canonical_program_text(program).encode())
-            digest.update(
-                repr((
-                    mem_words, frame_words, fault_model, self.interp.backend,
-                    snapshots, snapshot_count, len(self._snapshots),
-                )).encode()
-            )
             profile = WorkerProfile(
                 golden=self.golden, snapshots=tuple(self._snapshots)
             )
@@ -488,7 +502,7 @@ class FaultInjector:
                 self.interp.backend, snapshots, snapshot_count,
             )
             self._worker_spec = CampaignWorkerSpec(
-                digest.hexdigest(), PickledOnce((ctor_args, profile))
+                injector_key(*ctor_args), PickledOnce((ctor_args, profile))
             )
         return self._worker_spec
 

@@ -26,7 +26,6 @@ fault *rate*).
 from __future__ import annotations
 
 import enum
-import os
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -56,9 +55,9 @@ VALID_BACKENDS = ("compiled", "interp")
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend choice: explicit arg > ``REPRO_SIM_BACKEND`` > compiled."""
+    """Resolve a backend choice: ``None`` means ``"compiled"``."""
     if backend is None:
-        backend = os.environ.get("REPRO_SIM_BACKEND") or "compiled"
+        backend = "compiled"
     if backend not in VALID_BACKENDS:
         raise SimError(
             f"unknown sim backend {backend!r} (expected one of {VALID_BACKENDS})"

@@ -86,10 +86,9 @@ def canonical_program_text(program: Program) -> str:
     """Printed program text with ``!of<uid>`` tags renumbered canonically.
 
     The content-addressed identity everything that caches per-program state
-    hashes: the evaluator's golden-injector cache and the worker pool's
-    worker-resident cache both key off a digest of this text, so two
-    compiles of the same source land on the same cache entry even though
-    their raw instruction uids differ.
+    hashes: :func:`repro.faults.injector.injector_key` digests this text,
+    so two compiles of the same source land on the same cache entry even
+    though their raw instruction uids differ.
     """
     ids: dict[str, str] = {}
     return _DUP_OF_TAG.sub(

@@ -26,10 +26,10 @@ this module provides the pieces everything else builds on:
   :func:`ensure_pool` scope it transparently routes onto the ambient pool
   instead of spawning an ephemeral one;
 * :func:`worker_cached` — a content-addressed per-process cache for
-  worker-resident state (decoded superblocks, golden-run profiles,
-  architectural snapshots).  Workers persist across tasks *and maps*, so
-  expensive per-(workload, scheme) setup is paid once per worker, not once
-  per shard (``pool.worker_cache.{hits,misses}``);
+  worker-resident state (campaign injectors with their golden runs and
+  snapshots, and each sweep worker's evaluator).  Workers persist across
+  tasks *and maps*, so expensive per-(workload, scheme) setup is paid
+  once per worker, not once per shard (``pool.worker_cache.{hits,misses}``);
 * :class:`PickledOnce` — wraps a payload shared by many tasks so the
   parent serializes the object graph once and every task ships the same
   immutable bytes.
@@ -181,11 +181,14 @@ def _pool_bootstrap(capture: bool) -> None:
     parent has live telemetry) the worker instead records into an
     in-memory capture telemetry whose spans ride back with the worker's
     task results.  A persistent pool can outlive this initial choice, so
-    :func:`_pool_call` re-asserts the capture mode at every task.
+    :func:`_pool_call` re-asserts the capture mode at every task.  A forked
+    worker also drops the :func:`worker_cached` entries it inherited, so it
+    starts as empty as a spawned one.
     """
     from repro import obs
 
     obs.reset()
+    _WORKER_CACHE.clear()
     if capture:
         obs.configure_worker_capture()
 
@@ -295,11 +298,6 @@ def worker_cached(key: str, build: Callable[[], Any]) -> Any:
     return entry
 
 
-def worker_cache_clear() -> None:
-    """Drop this process's worker cache (tests; never needed in production)."""
-    _WORKER_CACHE.clear()
-
-
 class PickledOnce:
     """A payload serialized once in the parent, decoded on demand in workers.
 
@@ -315,10 +313,6 @@ class PickledOnce:
 
     def __init__(self, value: Any) -> None:
         self._blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @property
-    def nbytes(self) -> int:
-        return len(self._blob)
 
     def load(self) -> Any:
         return pickle.loads(self._blob)

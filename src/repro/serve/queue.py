@@ -53,10 +53,6 @@ class JobQueue:
         with self._cond:
             return len(self._jobs)
 
-    def depth_for(self, client: str) -> int:
-        with self._cond:
-            return sum(1 for j in self._jobs.values() if j.client == client)
-
     # -- backpressure ----------------------------------------------------------
     def retry_after_s(self) -> float:
         """Seconds a refused client should wait before resubmitting."""
@@ -140,10 +136,3 @@ class JobQueue:
         """
         with self._cond:
             return self._jobs.pop(job_id, None)
-
-    def queued_ids(self) -> list[str]:
-        with self._cond:
-            return sorted(
-                self._jobs,
-                key=lambda jid: (self._jobs[jid].priority, self._jobs[jid].seq),
-            )

@@ -93,22 +93,18 @@ def _compile_spec(spec: dict):
 # -- handlers ------------------------------------------------------------------
 def _handle_inject(job: Job, ctx: RunContext) -> dict:
     """Fault-injection campaign; always checkpointed, always resumable."""
+    from repro.cli import _load_program, _rate_matched
     from repro.faults.injector import FaultInjector
-    from repro.sim.executor import VLIWExecutor
 
     spec = job.spec
     trials = int(spec.get("trials", 200))
     seed = int(spec.get("seed", 2013))
-    compiled, scheme = _compile_spec(spec)
+    compiled, reference = _rate_matched(
+        _load_program(spec["program"]),
+        Scheme(spec.get("scheme", "casted")),
+        _machine_for(spec),
+    )
     ctx.check()
-    reference = None
-    if scheme is not Scheme.NOED:
-        from repro.cli import _load_program
-
-        noed = compile_program(
-            _load_program(spec["program"]), Scheme.NOED, _machine_for(spec)
-        )
-        reference = VLIWExecutor(noed).run().dyn_instructions
     injector = FaultInjector(
         compiled.program,
         mem_words=compiled.mem_words,

@@ -32,15 +32,8 @@ def _compiled(workload: str, scheme: Scheme):
 
 
 class TestBackendResolution:
-    def test_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+    def test_default_is_compiled(self):
         assert resolve_backend() == "compiled"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "interp")
-        assert resolve_backend() == "interp"
-        # an explicit argument beats the environment
-        assert resolve_backend("compiled") == "compiled"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimError, match="unknown sim backend"):
@@ -108,13 +101,14 @@ class TestTimedEquivalence:
 class TestExecutorDefersFunctionalFusion:
     def test_timed_run_fuses_no_functional_blocks(self):
         cp = _compiled("h263enc", Scheme.CASTED)
+        executor = VLIWExecutor(cp, backend="compiled")
         tel = obs.configure()
         try:
-            VLIWExecutor(cp, backend="compiled").run()
+            executor.run()
             counters = dict(tel.metrics.counters)
         finally:
             obs.reset()
-        assert not any(k.startswith("sim.fuse_cache.") for k in counters)
+        assert executor._interp._fused_blocks is None
         assert counters["sim.runs"] == 1
 
     def test_functional_run_fuses_on_first_use(self):

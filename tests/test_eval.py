@@ -44,7 +44,7 @@ class TestEvaluator:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         ev1 = Evaluator(seed=5, cache=True)
         rec1 = ev1.perf("mcf", Scheme.NOED, 1, 1)
-        assert list(tmp_path.glob("*.json"))
+        assert list(ev1._cache_dir.glob("*.json"))
         ev2 = Evaluator(seed=5, cache=True)
         rec2 = ev2.perf("mcf", Scheme.NOED, 1, 1)
         assert rec1 == rec2
@@ -108,6 +108,18 @@ class TestGoldenRunDedupe:
         assert shared.counts == fresh.counts
         assert shared.total_faults_injected == fresh.total_faults_injected
         assert shared.detection_latency_sum == fresh.detection_latency_sum
+
+    def test_injector_is_the_campaign_worker_cache_entry(self):
+        """The evaluator caches by the key pool workers build campaigns by."""
+        from repro.eval.experiment import _cached_injector
+        from repro.parallel import worker_cached
+
+        def rebuild():
+            raise AssertionError("worker_cached missed the evaluator's injector")
+
+        cp = Evaluator(seed=5, cache=False).compiled("mcf", Scheme.DCED, 2, 1)
+        injector = _cached_injector(cp, "reg-bit")
+        assert worker_cached(injector.worker_spec().key, rebuild) is injector
 
     def test_different_fault_models_do_not_share(self):
         from repro.eval.experiment import _cached_injector

@@ -340,14 +340,15 @@ class TestEvaluatorCache:
     def test_corrupt_disk_cache_falls_through(self, tmp_path, monkeypatch, caplog):
         import logging
 
-        from repro.eval.experiment import CACHE_VERSION, Evaluator
+        from repro.eval.experiment import Evaluator
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        key = f"v{CACHE_VERSION}_perf_cjpeg_noed_iw2_d0"
-        (tmp_path / f"{key}.json").write_text("{ this is not json")
         tel = obs.configure()
         ev = Evaluator(seed=2013)
+        path = ev._cache_dir / f"{ev._perf_key('cjpeg', Scheme.NOED, 2, 0)}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text("{ this is not json")
         with caplog.at_level(logging.WARNING, logger="repro.eval.experiment"):
             rec = ev.perf("cjpeg", Scheme.NOED, 2, 0)
         obs.reset()
@@ -355,22 +356,24 @@ class TestEvaluatorCache:
         assert any("corrupt result cache" in r.message for r in caplog.records)
         assert tel.metrics.counters["eval.cache.corrupt"] == 1
         # the recompute must repair the cache file in place...
-        assert json.loads((tmp_path / f"{key}.json").read_text())["cycles"] == rec.cycles
+        assert json.loads(path.read_text())["cycles"] == rec.cycles
         # ...and the corrupt original is quarantined, not destroyed
-        assert (tmp_path / f"{key}.json.bad").read_text() == "{ this is not json"
+        assert path.with_name(f"{path.name}.bad").read_text() == "{ this is not json"
 
     def test_quarantined_cache_does_not_rewarn(self, tmp_path, monkeypatch, caplog):
         """A second evaluator over the same cache dir loads the repaired
         entry silently — the corrupt file no longer shadows the key."""
         import logging
 
-        from repro.eval.experiment import CACHE_VERSION, Evaluator
+        from repro.eval.experiment import Evaluator
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        key = f"v{CACHE_VERSION}_perf_cjpeg_noed_iw2_d0"
-        (tmp_path / f"{key}.json").write_text("{ this is not json")
-        first = Evaluator(seed=2013).perf("cjpeg", Scheme.NOED, 2, 0)
+        ev = Evaluator(seed=2013)
+        path = ev._cache_dir / f"{ev._perf_key('cjpeg', Scheme.NOED, 2, 0)}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text("{ this is not json")
+        first = ev.perf("cjpeg", Scheme.NOED, 2, 0)
         caplog.clear()  # drop the (expected) warning from the first run
         with caplog.at_level(logging.WARNING, logger="repro.eval.experiment"):
             again = Evaluator(seed=2013).perf("cjpeg", Scheme.NOED, 2, 0)
@@ -378,15 +381,16 @@ class TestEvaluatorCache:
         assert not any("corrupt result cache" in r.message for r in caplog.records)
 
     def test_wrong_shape_cache_falls_through(self, tmp_path, monkeypatch):
-        from repro.eval.experiment import CACHE_VERSION, Evaluator
+        from repro.eval.experiment import Evaluator
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        key = f"v{CACHE_VERSION}_perf_cjpeg_noed_iw2_d0"
-        (tmp_path / f"{key}.json").write_text("[1, 2, 3]")
         ev = Evaluator(seed=2013)
+        path = ev._cache_dir / f"{ev._perf_key('cjpeg', Scheme.NOED, 2, 0)}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text("[1, 2, 3]")
         assert ev.perf("cjpeg", Scheme.NOED, 2, 0).cycles > 0
-        assert (tmp_path / f"{key}.json.bad").exists()
+        assert path.with_name(f"{path.name}.bad").exists()
 
 
 class TestFunctionalRun:

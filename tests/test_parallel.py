@@ -300,15 +300,15 @@ class TestEvaluatorAtomicStore:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         ev = Evaluator(seed=5, cache=True)
         ev.perf("mcf", Scheme.NOED, 1, 1)
-        files = list(tmp_path.iterdir())
+        files = list(ev._cache_dir.iterdir())
         assert files and all(p.suffix == ".json" for p in files)
-        assert not list(tmp_path.glob("*.tmp"))
+        assert not list(ev._cache_dir.glob("*.tmp"))
 
     def test_store_overwrites_corrupt_entry_atomically(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         ev = Evaluator(seed=5, cache=True)
         rec = ev.perf("mcf", Scheme.NOED, 1, 1)
-        path = next(tmp_path.glob("*.json"))
+        path = next(ev._cache_dir.glob("*.json"))
         path.write_text('{"trunca')  # simulate an interrupted legacy writer
         ev2 = Evaluator(seed=5, cache=True)
         rec2 = ev2.perf("mcf", Scheme.NOED, 1, 1)
@@ -326,17 +326,15 @@ class TestSweepDeterminism:
     def test_parallel_sweep_matches_serial_cache_files(
         self, tmp_path, monkeypatch
     ):
-        d1, d2 = tmp_path / "serial", tmp_path / "parallel"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(d1))
-        serial = Evaluator(seed=7, cache=True).sweep(
-            self.POINTS, trials=SHARD_TRIALS, jobs=1
-        )
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(d2))
-        parallel = Evaluator(seed=7, cache=True).sweep(
-            self.POINTS, trials=SHARD_TRIALS, jobs=2
-        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+        ev1 = Evaluator(seed=7, cache=True)
+        serial = ev1.sweep(self.POINTS, trials=SHARD_TRIALS, jobs=1)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
+        ev2 = Evaluator(seed=7, cache=True)
+        parallel = ev2.sweep(self.POINTS, trials=SHARD_TRIALS, jobs=2)
         assert serial == parallel
-        c1, c2 = self._cache_contents(d1), self._cache_contents(d2)
+        c1 = self._cache_contents(ev1._cache_dir)
+        c2 = self._cache_contents(ev2._cache_dir)
         assert c1 and c1 == c2
 
     def test_sweep_returns_records_in_point_order(self):

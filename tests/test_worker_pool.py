@@ -112,8 +112,9 @@ class TestPoolDeterminism:
 
         def run(jobs: int, cache_dir) -> dict[str, str]:
             monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-            Evaluator(seed=SEED, cache=True).sweep(points, trials=25, jobs=jobs)
-            return {p.name: p.read_text() for p in cache_dir.glob("*.json")}
+            ev = Evaluator(seed=SEED, cache=True)
+            ev.sweep(points, trials=25, jobs=jobs)
+            return {p.name: p.read_text() for p in ev._cache_dir.glob("*.json")}
 
         serial_files = run(1, d1)
         with WorkerPool(2):
@@ -162,6 +163,33 @@ class TestPoolReuse:
     def test_ensure_pool_serial_yields_none(self):
         with ensure_pool(1) as pool:
             assert pool is None
+
+
+class TestSweepWorkerEvaluator:
+    """Each sweep worker keeps one evaluator per seed across its tasks."""
+
+    def test_workload_optimized_once_per_worker(self):
+        tel = obs.configure()
+        points = [("mcf", scheme, 2, 1) for scheme in Scheme]
+        with WorkerPool(2):
+            Evaluator(seed=SEED, cache=False).sweep(points, jobs=2)
+        obs.reset()
+        # Four points, two workers: LICM runs once per -O1 prefix.
+        assert tel.metrics.snapshot()["counters"]["compile.pass.licm.runs"] <= 2
+
+    def test_second_sweep_receives_worker_held_records(self):
+        points = [("mcf", Scheme.CASTED, 2, 1), ("mcf", Scheme.SCED, 2, 1)]
+        with WorkerPool(2):
+            first = Evaluator(seed=SEED, cache=False).sweep(
+                points, trials=25, jobs=2
+            )
+            ev = Evaluator(seed=SEED, cache=False)
+            second = ev.sweep(points, trials=25, jobs=2)
+        assert second == first
+        # Every record, the NOED rate-matching reference included, came
+        # back from the workers: the parent compiled nothing.
+        assert ev._perf_key("mcf", Scheme.NOED, 2, 0) in ev._mem
+        assert ev._optimized == {}
 
 
 class TestPoolCrashSurvival:
